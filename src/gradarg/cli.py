@@ -129,7 +129,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.contextual is not None:
         labels = [part.strip() for part in args.contextual.split(",")
                   if part.strip()]
-        order = contextual_rank(fw, fw.set_of(labels))
+        try:
+            context = fw.set_of(labels)
+        except KeyError as exc:
+            raise ValueError(f"--contextual: {exc.args[0]}") from None
+        order = contextual_rank(fw, context)
         params: dict[str, Any] = {"mode": "contextual", "start": labels}
     else:
         semantics = Semantics(args.semantics)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import AtomBoundError, FormulaParseError
 
@@ -44,7 +44,7 @@ class Implies:
     right: "Formula"
 
 
-Formula = Union[Atom, Not, And, Or, Implies]
+Formula = Atom | Not | And | Or | Implies
 
 _TOKEN = re.compile(r"\s*(->|[!&|()]|[a-z][a-z0-9_]*)")
 

@@ -16,7 +16,8 @@ from enum import Enum
 from .errors import TooLargeError
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import defense_mask, neutrality_mask, saturation_bound
-from .semantics import Semantics, resolve_max_args
+from .semantics import (Semantics, _candidates, _lfp_mask, _maximal,
+                        resolve_max_args)
 
 
 class Relation(Enum):
@@ -148,24 +149,23 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
                      m: int, n: int, bound: int) -> list[int]:
     """Sceptically justified masks for l = 1..bound at one defense grade.
 
-    One subset scan collects every defense fixpoint together with the
-    least l making it conflict-free; each l then filters that list
-    without rescanning. Grounded short-cuts through the least fixpoint,
-    which is the unique minimal fixpoint, hence the least complete
-    extension exactly when it is conflict-free.
+    One search collects every defense fixpoint together with the least l
+    making it conflict-free; each l then filters that list without
+    searching again. Every fixpoint lies between the least and the
+    greatest one, and a stable one is m-conflict-free, so the search runs
+    on that interval at tolerance bound, or min(bound, m) for stable.
+    Grounded short-cuts through the least fixpoint, which is the unique
+    minimal fixpoint, hence the least complete extension exactly when it
+    is conflict-free.
     """
     full = fw.full_mask
+    least = _lfp_mask(fw, m, n, 0)
     if semantics is Semantics.GROUNDED:
-        cur = 0
-        while True:
-            nxt = defense_mask(fw, m, n, cur)
-            if nxt == cur:
-                break
-            cur = nxt
-        min_l = _least_tolerance(fw, cur)
-        return [cur if l >= min_l else full for l in range(1, bound + 1)]
+        min_l = _least_tolerance(fw, least)
+        return [least if l >= min_l else full for l in range(1, bound + 1)]
+    tolerance = min(bound, m) if semantics is Semantics.STABLE else bound
     fixpoints: list[tuple[int, int]] = []
-    for x in range(full + 1):
+    for x in _candidates(fw, tolerance, least, _lfp_mask(fw, m, n, full)):
         if defense_mask(fw, m, n, x) == x:
             if semantics is Semantics.STABLE and neutrality_mask(
                     fw, m, x) != x:
@@ -175,8 +175,7 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
     for l in range(1, bound + 1):
         family = [x for x, min_l in fixpoints if min_l <= l]
         if semantics is Semantics.PREFERRED:
-            family = [x for x in family
-                      if not any(y != x and x & ~y == 0 for y in family)]
+            family = _maximal(family)
         mask = full
         for x in family:
             mask &= x

@@ -9,7 +9,17 @@ additionally a fixpoint of the m-neutrality operator (stability).
 
 Two independent routes are provided: direct constructions by fixpoint
 iteration (valid on the existence-safe parameter region n >= m, l >= m)
-and exhaustive subset enumeration (valid anywhere, exponential).
+and enumeration (valid anywhere, exponential in the worst case).
+
+Enumeration searches only where extensions can lie. Defense is
+monotone, so every complete, preferred or stable extension contains the
+least defense fixpoint and every admissible set lies inside the greatest
+one; l-conflict-freeness is hereditary, so a depth-first search between
+those bounds can drop a branch as soon as its set breaks it. Each set
+the search yields is still checked against the unchanged predicates,
+so the bounds only prune. The exhaustive scan over all 2^n subsets is
+kept as the private reference ``_scan_extensions``, against which the
+tests hold the search.
 """
 from __future__ import annotations
 
@@ -81,16 +91,24 @@ class ConvergenceReport:
 
 
 def resolve_max_args(explicit: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else GRADARG_MAX_ARGS, else 24."""
+    """Enumeration cap: explicit argument, else GRADARG_MAX_ARGS, else 24.
+
+    A cap below 1 would refuse every framework, so it is rejected as an
+    invalid setting with ValueError.
+    """
     if explicit is not None:
-        return explicit
-    env = os.environ.get(MAX_ARGS_ENV)
-    if env is not None:
+        cap, source = explicit, "max_args"
+    else:
+        env = os.environ.get(MAX_ARGS_ENV)
+        if env is None:
+            return DEFAULT_MAX_ARGS
         try:
-            return int(env)
+            cap, source = int(env), MAX_ARGS_ENV
         except ValueError:
             raise ValueError(f"{MAX_ARGS_ENV} must be an integer, got {env!r}")
-    return DEFAULT_MAX_ARGS
+    if cap < 1:
+        raise ValueError(f"{source} must be positive, got {cap}")
+    return cap
 
 
 # -- predicates ---------------------------------------------------------
@@ -134,7 +152,127 @@ def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
             and _l_conflict_free_mask(fw, params.l, x.mask))
 
 
-# -- brute-force enumeration --------------------------------------------
+# -- enumeration --------------------------------------------------------
+
+
+def _lfp_mask(fw: ArgumentationFramework, m: int, n: int, start: int) -> int:
+    """Iterate (m, n) defense from a start mask until a stage repeats.
+
+    From 0 the stages grow to the least fixpoint; from ``fw.full_mask``
+    they shrink to the greatest. Any start comparable with its own image
+    gives a monotone run, hence a fixpoint.
+    """
+    cur = start
+    while True:
+        nxt = defense_mask(fw, m, n, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _candidates(fw: ArgumentationFramework, l: int, floor: int,
+                ceiling: int) -> Iterator[int]:
+    """Every l-conflict-free mask x with floor <= x <= ceiling, lazily;
+    floor must lie inside ceiling.
+
+    A depth-first search over the arguments of ceiling - floor in index
+    order: each node adds one argument above the last one added, so every
+    set is reached once. l-conflict-freeness is hereditary, so a branch
+    ends as soon as its set breaks it. Each node keeps its in-set attacker
+    counts as bit slices: ``ge[c - 1]`` holds the arguments (members or
+    not) with at least c attackers in the set, for c = 1..l-1. Adding i
+    raises the count of each target of i by one, and i may join only if
+    no member of the grown set (i included) then reaches l.
+    """
+    if not _l_conflict_free_mask(fw, l, floor):
+        return
+    everyone = fw.full_mask
+    attackers = [fw.attacker_mask(i) for i in range(len(fw))]
+    targets = [fw.target_mask(i) for i in range(len(fw))]
+    free = [i for i in range(len(fw)) if (ceiling & ~floor) >> i & 1]
+    ge = tuple(sum(1 << i for i in range(len(fw))
+                   if (attackers[i] & floor).bit_count() >= c)
+               for c in range(1, l))
+    stack = [(floor, ge, 0)]
+    while stack:
+        x, ge, k = stack.pop()
+        yield x
+        saturated = ge[-1] if ge else everyone
+        below = (everyone,) + ge
+        for j in range(k, len(free)):
+            i = free[j]
+            y = x | 1 << i
+            hit = targets[i]
+            if (attackers[i] & y).bit_count() >= l or hit & y & saturated:
+                continue
+            stack.append((y, tuple(a | b & hit for a, b in zip(ge, below)),
+                          j + 1))
+
+
+def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
+                         params: GradeParams,
+                         max_args: int | None = None) -> ExtensionFamily:
+    """Search the lattice between the defense fixpoints for the requested
+    extension predicate.
+
+    Valid at every parameter triple; exponential in the argument count
+    in the worst case, hence the cap. Candidates come from ``_candidates``:
+    l-conflict-free sets inside the greatest defense fixpoint, containing
+    the least one for complete, preferred and stable. A stable extension
+    is its own m-neutral set, hence m-conflict-free, so stable searches at
+    tolerance min(l, m). Grounded needs no search: every fixpoint contains
+    the least one, so it is the least complete extension when it is
+    l-conflict-free and no complete extension exists otherwise. Every
+    candidate is checked against the predicate itself, so the answers are
+    those of the full subset scan ``_scan_extensions``. Extensions come
+    out sorted by (size, bitmask).
+    """
+    cap = resolve_max_args(max_args)
+    if len(fw) > cap:
+        raise TooLargeError(
+            f"{len(fw)} arguments exceed the enumeration cap {cap}")
+    l, m, n = params.l, params.m, params.n
+    least = _lfp_mask(fw, m, n, 0)
+    if semantics is Semantics.GROUNDED:
+        if _l_conflict_free_mask(fw, l, least):
+            return _family(fw, semantics, params, [least])
+        return _no_grounded(fw, params, least)
+    greatest = _lfp_mask(fw, m, n, fw.full_mask)
+    if semantics is Semantics.ADMISSIBLE:
+        hits = [x for x in _candidates(fw, l, 0, greatest)
+                if _l_conflict_free_mask(fw, l, x)
+                and x & ~defense_mask(fw, m, n, x) == 0]
+        return _family(fw, semantics, params, hits)
+    if semantics is Semantics.STABLE:
+        hits = [x for x in _candidates(fw, min(l, m), least, greatest)
+                if defense_mask(fw, m, n, x) == x
+                and neutrality_mask(fw, m, x) == x
+                and _l_conflict_free_mask(fw, l, x)]
+        return _family(fw, semantics, params, hits)
+    completes = [x for x in _candidates(fw, l, least, greatest)
+                 if _l_conflict_free_mask(fw, l, x)
+                 and defense_mask(fw, m, n, x) == x]
+    if semantics is Semantics.COMPLETE:
+        return _family(fw, semantics, params, completes)
+    if semantics is Semantics.PREFERRED:
+        return _family(fw, semantics, params, _maximal(completes))
+    raise ValueError(f"unknown semantics {semantics!r}")
+
+
+def _maximal(masks: list[int]) -> list[int]:
+    return [x for x in masks
+            if not any(y != x and x & ~y == 0 for y in masks)]
+
+
+def _no_grounded(fw: ArgumentationFramework, params: GradeParams,
+                 least: int) -> ExtensionFamily:
+    return ExtensionFamily(
+        Semantics.GROUNDED, params, (), Existence.NONE_EXISTS,
+        Witness("no l-conflict-free defense fixpoint exists; "
+                "least defense fixpoint shown", ArgumentSet(fw, least)))
+
+
+# -- the exhaustive reference scan --------------------------------------
 
 
 def _subsets_by_popcount(n: int) -> Iterator[int]:
@@ -151,18 +289,10 @@ def _subsets_by_popcount(n: int) -> Iterator[int]:
             x = (((r ^ x) >> 2) // c) | r
 
 
-def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
-                         params: GradeParams,
-                         max_args: int | None = None) -> ExtensionFamily:
-    """Scan all subsets for the requested extension predicate.
-
-    Valid at every parameter triple; exponential in the argument count,
-    hence the cap. Extensions come out sorted by (size, bitmask).
-    """
-    cap = resolve_max_args(max_args)
-    if len(fw) > cap:
-        raise TooLargeError(
-            f"{len(fw)} arguments exceed the enumeration cap {cap}")
+def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
+                     params: GradeParams) -> ExtensionFamily:
+    """The same families as enumerate_extensions, found by testing every
+    one of the 2^n subsets; no cap. A reference for the tests only."""
     l, m, n = params.l, params.m, params.n
     if semantics is Semantics.ADMISSIBLE:
         hits = [x for x in _subsets_by_popcount(len(fw))
@@ -181,17 +311,10 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     if semantics is Semantics.COMPLETE:
         return _family(fw, semantics, params, completes)
     if semantics is Semantics.PREFERRED:
-        maximal = [x for x in completes
-                   if not any(y != x and x & ~y == 0 for y in completes)]
-        return _family(fw, semantics, params, maximal)
+        return _family(fw, semantics, params, _maximal(completes))
     if semantics is Semantics.GROUNDED:
         if not completes:
-            limit = _lfp_mask(fw, m, n)
-            return ExtensionFamily(
-                semantics, params, (), Existence.NONE_EXISTS,
-                Witness("no l-conflict-free defense fixpoint exists; "
-                        "least defense fixpoint shown",
-                        ArgumentSet(fw, limit)))
+            return _no_grounded(fw, params, _lfp_mask(fw, m, n, 0))
         least = [x for x in completes
                  if all(x & ~y == 0 for y in completes)]
         if not least:
@@ -224,15 +347,6 @@ def _require_constraint(params: GradeParams) -> None:
             "the existence-safe region (need n >= m and l >= m)")
 
 
-def _lfp_mask(fw: ArgumentationFramework, m: int, n: int) -> int:
-    cur = 0
-    while True:
-        nxt = defense_mask(fw, m, n, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def grounded_unconditional(fw: ArgumentationFramework,
                            params: GradeParams) -> ArgumentSet | None:
     """Least defense fixpoint if l-conflict-free, else None.
@@ -241,7 +355,7 @@ def grounded_unconditional(fw: ArgumentationFramework,
     semantics at any triple: every fixpoint contains the least one, so a
     conflict inside the least fixpoint persists in all of them.
     """
-    limit = _lfp_mask(fw, params.m, params.n)
+    limit = _lfp_mask(fw, params.m, params.n, 0)
     if _l_conflict_free_mask(fw, params.l, limit):
         return ArgumentSet(fw, limit)
     return None

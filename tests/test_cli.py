@@ -96,6 +96,16 @@ def test_solve_rejects_non_positive_grades():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("setting", ["0", "-3"])
+def test_non_positive_cap_setting_is_a_usage_error(monkeypatch, setting):
+    monkeypatch.setenv("GRADARG_MAX_ARGS", setting)
+    code, out, err = run_cli(
+        ["solve", "--semantics", "stable", "--l", "1", "--m", "1",
+         "--n", "1"], "x\n#\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: GRADARG_MAX_ARGS must be positive, got {setting}\n"
+
+
 # -- rank ------------------------------------------------------------------------
 
 
@@ -155,6 +165,12 @@ def test_rank_respects_enumeration_cap():
     assert code == 1
     assert out == ""
     assert "enumeration cap 2" in err
+
+
+def test_rank_unknown_context_label_is_a_usage_error():
+    code, out, err = run_cli(["rank", "--contextual", "a,zz"], THREE_CYCLE)
+    assert (code, out) == (2, "")
+    assert err == "error: --contextual: unknown argument 'zz'\n"
 
 
 # -- postulates ------------------------------------------------------------------

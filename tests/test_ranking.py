@@ -157,7 +157,13 @@ def test_absolute_signature_agrees_with_justified_sweep():
 
 
 def test_absolute_signature_matches_oracle():
-    for fw in seeded_corpus(10, sizes=(2, 5), seed0=2200):
+    corpus = [*seeded_corpus(10, sizes=(2, 5), seed0=2200),
+              *seeded_corpus(6, sizes=(4, 6), edge_prob=0.3, seed0=2300),
+              self_contradiction()]
+    assert sum(1 for fw in corpus
+               if any(src == dst for src, dst in fw.attacks)) >= 5
+    assert max(len(fw) for fw in corpus) == 6
+    for fw in corpus:
         labels, attacks = labels_attacks(fw)
         for semantics in ABSOLUTE_SEMANTICS:
             sig = absolute_signature(fw, semantics)

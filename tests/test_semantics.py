@@ -14,8 +14,9 @@ from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (GradeParams, graded_neutrality, lfp_from,
                             saturation_bound, unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
-                               JustificationMode, Semantics, complete_closure,
-                               enumerate_extensions, grounded_by_construction,
+                               JustificationMode, Semantics, _scan_extensions,
+                               complete_closure, enumerate_extensions,
+                               grounded_by_construction,
                                grounded_unconditional, is_l_conflict_free,
                                is_lmn_admissible, is_lmn_complete,
                                is_lmn_stable, justified,
@@ -163,6 +164,30 @@ def test_enumeration_bound(monkeypatch):
     monkeypatch.setenv("GRADARG_MAX_ARGS", "lots")
     with pytest.raises(ValueError):
         resolve_max_args()
+
+
+@pytest.mark.parametrize("density", [0.0, 0.15, 0.3, 0.5])
+def test_search_matches_scan_and_oracle(density):
+    """The bounded search against the exhaustive scan at every triple in
+    [1, K]^3, and against the oracle up to five arguments. The seeded
+    graphs draw self-attacks like any other pair; density 0 is attack-free."""
+    corpus = [random_framework(size, density, 7000 + size)
+              for size in range(8)]
+    if density:
+        assert any(src == dst for fw in corpus for src, dst in fw.attacks)
+    for fw in corpus:
+        labels, attacks = labels_attacks(fw)
+        for params in all_triples(saturation_bound(fw)):
+            for semantics in ALL_SEMANTICS:
+                got = enumerate_extensions(fw, semantics, params)
+                want = _scan_extensions(fw, semantics, params)
+                assert got.extensions == want.extensions
+                assert got.existence is want.existence
+                assert (got.witness is None) == (want.witness is None)
+                if len(fw) <= 5:
+                    assert family_sets(got) == oc.extension_family(
+                        labels, attacks, semantics.value,
+                        params.l, params.m, params.n)
 
 
 # -- the constraint gate ----------------------------------------------------------
