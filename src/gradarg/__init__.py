@@ -8,18 +8,16 @@ graphs from stratified propositional knowledge bases.
 from .errors import (AtomBoundError, ConstraintViolatedError,
                      FormulaParseError, FrameworkParseError, GradargError,
                      KnowledgeBaseError, NoExtensionError, NotAdmissibleError,
-                     NotExpandableError, NotReachingError, TooLargeError,
-                     TooManyArgumentsError)
+                     NotExpandableError, NotReachingError, TooLargeError)
 from .framework import (ArgumentId, ArgumentSet, ArgumentationFramework,
                         connected_components, disjoint_union,
                         random_framework, relabel)
 from .formats import (detect_format, parse, parse_apx, parse_tgf, write,
                       write_apx, write_tgf)
 from .kernel import (DefenseGrade, GradeOrdering, GradeParams,
-                     IterationStream, compare_grades,
-                     compare_grades_lexicographic, gfp_from, graded_defense,
-                     graded_neutrality, lfp_from, saturation_bound,
-                     unattacked_closure)
+                     IterationStream, compare_grades, gfp_from,
+                     graded_defense, graded_neutrality, lfp_from,
+                     saturation_bound, unattacked_closure)
 from .semantics import (ConvergenceReport, Existence, ExtensionFamily,
                         JustificationMode, JustifiedReport, Semantics,
                         Witness, complete_closure, enumerate_extensions,

@@ -17,7 +17,7 @@ from .errors import (AtomBoundError, ConstraintViolatedError,
                      FormulaParseError, FrameworkParseError,
                      KnowledgeBaseError, NoExtensionError,
                      NotAdmissibleError, NotExpandableError,
-                     NotReachingError, TooLargeError, TooManyArgumentsError)
+                     NotReachingError, TooLargeError)
 from .formats import parse, write
 from .framework import ArgumentSet, ArgumentationFramework
 from .instantiate import (build_defeat_graph, graded_inference, parse_kb,
@@ -30,7 +30,7 @@ from .ranking import ArgumentPartialOrder, absolute_rank, contextual_rank
 from .semantics import (Existence, JustificationMode, Semantics,
                         enumerate_extensions)
 
-_DOMAIN_ERRORS = (TooLargeError, TooManyArgumentsError, AtomBoundError,
+_DOMAIN_ERRORS = (TooLargeError, AtomBoundError,
                   ConstraintViolatedError, NotAdmissibleError,
                   NotReachingError, NotExpandableError, NoExtensionError)
 _USAGE_ERRORS = (FrameworkParseError, KnowledgeBaseError, FormulaParseError,

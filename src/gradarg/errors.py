@@ -20,7 +20,8 @@ class FrameworkParseError(GradargError):
 
 
 class TooLargeError(GradargError):
-    """Subset enumeration was requested above the argument-count cap."""
+    """An argument count exceeds the cap: a framework too large to
+    enumerate, or a knowledge base generating too many arguments."""
 
 
 class NotExpandableError(GradargError):
@@ -37,10 +38,6 @@ class NotReachingError(GradargError):
 
 class ConstraintViolatedError(GradargError):
     """Grade parameters fall outside the existence-safe region (n >= m, l >= m)."""
-
-
-class TooManyArgumentsError(GradargError):
-    """Argument construction from a knowledge base exceeded the node cap."""
 
 
 class NoExtensionError(GradargError):

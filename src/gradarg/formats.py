@@ -3,7 +3,9 @@
 TGF: one node label per line, a lone ``#`` separator, then ``src dst``
 edge lines (extra tokens after the endpoints are ignored, as TGF edge
 labels). APX: ``arg(name).`` and ``att(src,dst).`` facts, whitespace
-insensitive, order independent.
+insensitive, order independent. The writers refuse, with ValueError, a
+label their format cannot carry, rather than write text its parser
+would reject or read back differently.
 """
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ import re
 from .errors import FrameworkParseError
 from .framework import ArgumentationFramework
 
+_APX_NAME = r"[^\s,()]+"
 _APX_FACT = re.compile(
-    r"\s*(arg|att)\s*\(\s*([^\s,()]+)\s*(?:,\s*([^\s,()]+)\s*)?\)\s*\.")
+    rf"\s*(arg|att)\s*\(\s*({_APX_NAME})\s*(?:,\s*({_APX_NAME})\s*)?\)\s*\.")
 
 
 def parse_tgf(text: str) -> ArgumentationFramework:
@@ -97,6 +100,9 @@ def detect_format(text: str) -> str:
 
 
 def write_tgf(fw: ArgumentationFramework) -> str:
+    for label in fw.labels:
+        if label == "#" or label.split() != [label]:
+            raise ValueError(f"label {label!r} cannot be written as TGF")
     lines = list(fw.labels)
     lines.append("#")
     lines.extend(f"{s} {d}" for s, d in fw.attacks)
@@ -104,6 +110,9 @@ def write_tgf(fw: ArgumentationFramework) -> str:
 
 
 def write_apx(fw: ArgumentationFramework) -> str:
+    for label in fw.labels:
+        if not re.fullmatch(_APX_NAME, label):
+            raise ValueError(f"label {label!r} cannot be written as APX")
     lines = [f"arg({lab})." for lab in fw.labels]
     lines.extend(f"att({s},{d})." for s, d in fw.attacks)
     return "\n".join(lines) + "\n"

@@ -14,14 +14,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (AtomBoundError, KnowledgeBaseError,
-                     TooManyArgumentsError)
+from .errors import AtomBoundError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import GradeParams
 from .logic import (MAX_ATOMS, Formula, atoms, complement, complementary,
                     entails, format_formula, is_consistent, parse_formula)
-from .semantics import (JustificationMode, Semantics, enumerate_extensions,
-                        resolve_max_args)
+from .semantics import (JustificationMode, Semantics, _check_cap,
+                        enumerate_extensions)
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,7 @@ def generate_arguments(kb: KnowledgeBase,
     for goal in {complement(beta) for beta in base}:
         for premises in _minimal_entailing(base, goal):
             found.add(ClassicalArgument(premises, goal))
-    cap = resolve_max_args(max_args)
-    if len(found) > cap:
-        raise TooManyArgumentsError(
-            f"{len(found)} generated arguments exceed the limit {cap}")
+    _check_cap(len(found), max_args, "generated arguments", "the limit")
     index = {f: i for i, f in enumerate(base)}
 
     def key(arg: ClassicalArgument) -> tuple[int, str]:

@@ -8,15 +8,19 @@ against it. Defense is exactly neutrality composed with itself at the
 two thresholds, and both collapse to the classical Dung operators at
 threshold one.
 
-Iterating defense from below (least fixpoint) or from above (greatest
-fixpoint under the swapped grade) yields the streams that build graded
-extensions; the full stage-by-stage record is kept so callers can
-inspect convergence.
+Every iteration of defense in the package is one ``defense_orbit``:
+from the empty set its last stage is the least fixpoint, from the full
+set the greatest, and from any context the stages trace the orbit that
+contextual rankings collect. ``lfp_from`` and ``gfp_from`` keep the
+stage-by-stage record so callers can inspect convergence. The one
+in-set attacker count is ``least_tolerance``: a set is l-conflict-free
+exactly when its least tolerance is at most l.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .errors import NotExpandableError
 from .framework import ArgumentationFramework, ArgumentSet
@@ -40,10 +44,6 @@ class GradeParams:
         """Whether the parameters lie in the region where grounded
         extensions are guaranteed to exist (n >= m and l >= m)."""
         return self.n >= self.m and self.l >= self.m
-
-    @property
-    def defense_grade(self) -> "DefenseGrade":
-        return DefenseGrade(self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,6 @@ def compare_grades(g1: DefenseGrade, g2: DefenseGrade) -> GradeOrdering:
     return GradeOrdering.INCOMPARABLE
 
 
-def compare_grades_lexicographic(g1: DefenseGrade,
-                                 g2: DefenseGrade) -> GradeOrdering:
-    """Total refinement of the strength order: m ascending first, then
-    n descending. Never returns INCOMPARABLE and agrees with
-    compare_grades wherever that is decisive."""
-    k1, k2 = (g1.m, -g1.n), (g2.m, -g2.n)
-    if k1 == k2:
-        return GradeOrdering.EQUAL
-    return GradeOrdering.STRONGER if k1 < k2 else GradeOrdering.WEAKER
-
-
 # -- mask-level operators (hot path) -----------------------------------
 
 
@@ -121,6 +110,39 @@ def defense_mask(fw: ArgumentationFramework, m: int, n: int,
             out |= bit
         bit <<= 1
     return out
+
+
+def least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
+    """Smallest l at which the set is l-conflict-free: one more than the
+    most attackers any member has inside the set."""
+    worst = 0
+    rest = xmask
+    while rest:
+        low = rest & -rest
+        count = (fw.attacker_mask(low.bit_length() - 1) & xmask).bit_count()
+        if count > worst:
+            worst = count
+        rest ^= low
+    return worst + 1
+
+
+def defense_orbit(fw: ArgumentationFramework, m: int, n: int,
+                  start: int) -> Iterator[int]:
+    """The (m, n) defense iterates of a start mask, the start first, up
+    to and including the first stage that repeats an earlier one.
+
+    From 0 the stages grow to the least fixpoint and from ``fw.full_mask``
+    they shrink to the greatest, so in both cases the last stage is that
+    fixpoint; any start comparable with its own image runs monotonically
+    into a fixpoint the same way. Other starts may end in a cycle.
+    """
+    seen = set()
+    x = start
+    while x not in seen:
+        seen.add(x)
+        yield x
+        x = defense_mask(fw, m, n, x)
+    yield x
 
 
 # -- public operators ---------------------------------------------------
@@ -185,17 +207,19 @@ class IterationStream:
         return self.stages[-1]
 
 
-def _iterate_to_fixpoint(fw: ArgumentationFramework, m: int, n: int,
-                         start_mask: int) -> tuple[list[int], int]:
-    """Iterate the (m, n) defense operator, returning all stages up to
-    and including the first repeat. Only valid for monotone orbits
-    (each stage comparable with the next); callers guarantee that."""
-    stages = [start_mask]
-    while True:
-        nxt = defense_mask(fw, m, n, stages[-1])
-        stages.append(nxt)
-        if nxt == stages[-2]:
-            return stages, len(stages) - 2
+def _stream(fw: ArgumentationFramework, m: int, n: int, x: ArgumentSet,
+            grade: DefenseGrade, top: int) -> IterationStream:
+    """Check that x defends itself at grade (m, n), then record the
+    defense orbit at ``grade`` from ``top``. The precondition makes that
+    orbit monotone, so its repeat is the stage just before it."""
+    if x.framework != fw:
+        raise ValueError("argument set belongs to a different framework")
+    if x.mask & ~defense_mask(fw, m, n, x.mask):
+        raise NotExpandableError(
+            f"start set {x} is not contained in its own grade-({m},{n}) defense")
+    stages = tuple(ArgumentSet(fw, s)
+                   for s in defense_orbit(fw, grade.m, grade.n, top))
+    return IterationStream(fw, grade, x, stages, len(stages) - 2)
 
 
 def lfp_from(fw: ArgumentationFramework, m: int, n: int,
@@ -206,16 +230,7 @@ def lfp_from(fw: ArgumentationFramework, m: int, n: int,
     Requires x to defend itself at grade (m, n), otherwise the
     sequence would not be monotone.
     """
-    if x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
-    first = defense_mask(fw, m, n, x.mask)
-    if x.mask & ~first:
-        raise NotExpandableError(
-            f"start set {x} is not contained in its own grade-({m},{n}) defense")
-    stages, stabilized = _iterate_to_fixpoint(fw, m, n, x.mask)
-    return IterationStream(fw, DefenseGrade(m, n), x,
-                           tuple(ArgumentSet(fw, s) for s in stages),
-                           stabilized)
+    return _stream(fw, m, n, x, DefenseGrade(m, n), x.mask)
 
 
 def gfp_from(fw: ArgumentationFramework, m: int, n: int,
@@ -228,13 +243,5 @@ def gfp_from(fw: ArgumentationFramework, m: int, n: int,
     (m, n) they would pass to lfp_from. The same self-defense
     precondition applies.
     """
-    if x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
-    if x.mask & ~defense_mask(fw, m, n, x.mask):
-        raise NotExpandableError(
-            f"start set {x} is not contained in its own grade-({m},{n}) defense")
-    top = neutrality_mask(fw, n, x.mask)
-    stages, stabilized = _iterate_to_fixpoint(fw, n, m, top)
-    return IterationStream(fw, DefenseGrade(n, m), x,
-                           tuple(ArgumentSet(fw, s) for s in stages),
-                           stabilized)
+    return _stream(fw, m, n, x, DefenseGrade(n, m),
+                   neutrality_mask(fw, n, x.mask))

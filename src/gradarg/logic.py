@@ -121,7 +121,10 @@ def parse_formula(text: str) -> Formula:
             raise FormulaParseError(f"unexpected {word!r}", col)
         return Atom(word)
 
-    result = implication()
+    try:
+        result = implication()
+    except RecursionError:
+        raise FormulaParseError("formula is nested too deeply") from None
     if index < len(tokens):
         raise FormulaParseError(
             f"unexpected trailing {tokens[index][0]!r}", tokens[index][1])

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
                         disjoint_union, random_framework, relabel)
-from .ranking import (JustificationSignature, Relation, absolute_rank,
-                      absolute_signature)
+from .ranking import (ArgumentPartialOrder, JustificationSignature,
+                      Relation, absolute_rank, absolute_signature)
 from .semantics import Semantics
 
 RANKED_SEMANTICS = (Semantics.GROUNDED, Semantics.PREFERRED, Semantics.STABLE)
@@ -115,8 +115,8 @@ def check_independence(framework: ArgumentationFramework,
     name = "strict independence" if strict else "independence"
     components = connected_components(framework)
     for sem in semantics:
-        whole = _constrained(absolute_signature(framework, sem,
-                                                max_args=max_args))
+        signatures = absolute_signature(framework, sem, max_args=max_args)
+        whole = _constrained(signatures)
         for component in components:
             part = _constrained(absolute_signature(component, sem,
                                                    max_args=max_args))
@@ -131,8 +131,9 @@ def check_independence(framework: ArgumentationFramework,
                     satisfied = whole[y] <= whole[x]
                 if premise and not satisfied:
                     form = "strictly above" if strict else "at least"
-                    observed = absolute_rank(framework, sem,
-                                             max_args=max_args).compare(x, y)
+                    observed = ArgumentPartialOrder(
+                        framework, signatures,
+                        f"absolute:{sem.value}").compare(x, y)
                     return _violated(
                         name, sem, framework, (x, y), observed,
                         f"{x} is {form} {y} in its component but not in "

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TooLargeError
 from .framework import ArgumentationFramework, ArgumentSet
-from .kernel import defense_mask, neutrality_mask, saturation_bound
-from .semantics import (Semantics, _candidates, _lfp_mask, _maximal,
-                        resolve_max_args)
+from .kernel import (defense_mask, defense_orbit, least_tolerance,
+                     neutrality_mask, saturation_bound)
+from .semantics import Semantics, _candidates, _check_cap, _maximal
 
 
 class Relation(Enum):
@@ -102,27 +101,12 @@ class ArgumentPartialOrder:
 # -- contextual (defense-iteration) signatures ---------------------------
 
 
-def _orbit_union(fw: ArgumentationFramework, m: int, n: int,
-                 start: int) -> int:
-    """Union of all defense iterates of the start set (the start
-    included). The orbit of a finite lattice point eventually cycles, so
-    the union closes once a stage repeats."""
-    union = start
-    seen = {start}
-    cur = start
-    while True:
-        cur = defense_mask(fw, m, n, cur)
-        if cur in seen:
-            return union
-        seen.add(cur)
-        union |= cur
-
-
 def contextual_signature(
         fw: ArgumentationFramework,
         x: ArgumentSet | None = None) -> dict[str, JustificationSignature]:
     """Per-argument sets of (m, n) pairs at which the argument enters
-    the iterated defense of the context (empty context by default)."""
+    the iterated defense of the context (empty context by default): the
+    union of its defense orbit, which closes once a stage repeats."""
     start = 0 if x is None else x.mask
     if x is not None and x.framework != fw:
         raise ValueError("argument set belongs to a different framework")
@@ -130,8 +114,10 @@ def contextual_signature(
     grades: dict[str, set[tuple[int, int]]] = {lab: set() for lab in fw.labels}
     for m in range(1, k + 1):
         for n in range(1, k + 1):
-            limit = _orbit_union(fw, m, n, start)
-            for arg in ArgumentSet(fw, limit):
+            union = 0
+            for stage in defense_orbit(fw, m, n, start):
+                union |= stage
+            for arg in ArgumentSet(fw, union):
                 grades[arg.label].add((m, n))
     return {lab: JustificationSignature(lab, frozenset(g), k, "contextual")
             for lab, g in grades.items()}
@@ -159,18 +145,19 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
     is conflict-free.
     """
     full = fw.full_mask
-    least = _lfp_mask(fw, m, n, 0)
+    *_, least = defense_orbit(fw, m, n, 0)
     if semantics is Semantics.GROUNDED:
-        min_l = _least_tolerance(fw, least)
+        min_l = least_tolerance(fw, least)
         return [least if l >= min_l else full for l in range(1, bound + 1)]
+    *_, greatest = defense_orbit(fw, m, n, full)
     tolerance = min(bound, m) if semantics is Semantics.STABLE else bound
     fixpoints: list[tuple[int, int]] = []
-    for x in _candidates(fw, tolerance, least, _lfp_mask(fw, m, n, full)):
+    for x in _candidates(fw, tolerance, least, greatest):
         if defense_mask(fw, m, n, x) == x:
             if semantics is Semantics.STABLE and neutrality_mask(
                     fw, m, x) != x:
                 continue
-            fixpoints.append((x, _least_tolerance(fw, x)))
+            fixpoints.append((x, least_tolerance(fw, x)))
     out = []
     for l in range(1, bound + 1):
         family = [x for x, min_l in fixpoints if min_l <= l]
@@ -183,18 +170,6 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
     return out
 
 
-def _least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
-    """Smallest l at which the set is l-conflict-free."""
-    worst = 0
-    m = xmask
-    while m:
-        low = m & -m
-        worst = max(worst,
-                    (fw.attacker_mask(low.bit_length() - 1) & xmask).bit_count())
-        m ^= low
-    return worst + 1
-
-
 def absolute_signature(
         fw: ArgumentationFramework, semantics: Semantics,
         max_args: int | None = None) -> dict[str, JustificationSignature]:
@@ -205,10 +180,7 @@ def absolute_signature(
                          Semantics.STABLE):
         raise ValueError(
             "absolute rankings are defined for grounded, preferred, stable")
-    cap = resolve_max_args(max_args)
-    if len(fw) > cap:
-        raise TooLargeError(
-            f"{len(fw)} arguments exceed the enumeration cap {cap}")
+    _check_cap(len(fw), max_args)
     k = saturation_bound(fw)
     grades: dict[str, set[tuple[int, int, int]]] = {
         lab: set() for lab in fw.labels}

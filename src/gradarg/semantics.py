@@ -19,19 +19,22 @@ those bounds can drop a branch as soon as its set breaks it. Each set
 the search yields is still checked against the unchanged predicates,
 so the bounds only prune. The exhaustive scan over all 2^n subsets is
 kept as the private reference ``_scan_extensions``, against which the
-tests hold the search.
+tests hold the search; both feed their candidates to the same predicate
+``_satisfies`` that backs ``is_lmn_admissible``, ``is_lmn_complete`` and
+``is_lmn_stable``.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
 from .framework import ArgumentationFramework, ArgumentSet, DEFAULT_MAX_ARGS
-from .kernel import (GradeParams, IterationStream, defense_mask, lfp_from,
+from .kernel import (GradeParams, IterationStream, defense_mask,
+                     defense_orbit, least_tolerance, lfp_from,
                      neutrality_mask)
 
 MAX_ARGS_ENV = "GRADARG_MAX_ARGS"
@@ -111,35 +114,46 @@ def resolve_max_args(explicit: int | None = None) -> int:
     return cap
 
 
+def _check_cap(count: int, max_args: int | None, what: str = "arguments",
+               limit: str = "the enumeration cap") -> None:
+    """Raise TooLargeError when count exceeds the resolved cap."""
+    cap = resolve_max_args(max_args)
+    if count > cap:
+        raise TooLargeError(f"{count} {what} exceed {limit} {cap}")
+
+
 # -- predicates ---------------------------------------------------------
 
 
 def is_l_conflict_free(fw: ArgumentationFramework, l: int,
                        x: ArgumentSet) -> bool:
-    return _l_conflict_free_mask(fw, l, x.mask)
+    return least_tolerance(fw, x.mask) <= l
 
 
-def _l_conflict_free_mask(fw: ArgumentationFramework, l: int,
-                          xmask: int) -> bool:
-    m = xmask
-    while m:
-        low = m & -m
-        if (fw.attacker_mask(low.bit_length() - 1) & xmask).bit_count() >= l:
-            return False
-        m ^= low
-    return True
+def _satisfies(fw: ArgumentationFramework, semantics: Semantics,
+               params: GradeParams, x: int) -> bool:
+    """The extension predicate on a mask: l-conflict-free and contained
+    in its own defense (admissible), equal to it (complete, and the
+    candidates of preferred and grounded), or equal to it and to its own
+    m-neutral set (stable). Defense is tested before conflict, which
+    costs a count over every member."""
+    d = defense_mask(fw, params.m, params.n, x)
+    if semantics is Semantics.ADMISSIBLE:
+        defended = x & ~d == 0
+    else:
+        defended = d == x and (semantics is not Semantics.STABLE
+                               or neutrality_mask(fw, params.m, x) == x)
+    return defended and least_tolerance(fw, x) <= params.l
 
 
 def is_lmn_admissible(fw: ArgumentationFramework, params: GradeParams,
                       x: ArgumentSet) -> bool:
-    return (_l_conflict_free_mask(fw, params.l, x.mask)
-            and x.mask & ~defense_mask(fw, params.m, params.n, x.mask) == 0)
+    return _satisfies(fw, Semantics.ADMISSIBLE, params, x.mask)
 
 
 def is_lmn_complete(fw: ArgumentationFramework, params: GradeParams,
                     x: ArgumentSet) -> bool:
-    return (_l_conflict_free_mask(fw, params.l, x.mask)
-            and defense_mask(fw, params.m, params.n, x.mask) == x.mask)
+    return _satisfies(fw, Semantics.COMPLETE, params, x.mask)
 
 
 def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
@@ -147,27 +161,10 @@ def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
     """Stable: a defense fixpoint that is also a fixpoint of m-neutrality
     (so it keeps everything it fails to attack m times out) and is
     l-conflict-free."""
-    return (defense_mask(fw, params.m, params.n, x.mask) == x.mask
-            and neutrality_mask(fw, params.m, x.mask) == x.mask
-            and _l_conflict_free_mask(fw, params.l, x.mask))
+    return _satisfies(fw, Semantics.STABLE, params, x.mask)
 
 
 # -- enumeration --------------------------------------------------------
-
-
-def _lfp_mask(fw: ArgumentationFramework, m: int, n: int, start: int) -> int:
-    """Iterate (m, n) defense from a start mask until a stage repeats.
-
-    From 0 the stages grow to the least fixpoint; from ``fw.full_mask``
-    they shrink to the greatest. Any start comparable with its own image
-    gives a monotone run, hence a fixpoint.
-    """
-    cur = start
-    while True:
-        nxt = defense_mask(fw, m, n, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 def _candidates(fw: ArgumentationFramework, l: int, floor: int,
@@ -184,7 +181,7 @@ def _candidates(fw: ArgumentationFramework, l: int, floor: int,
     raises the count of each target of i by one, and i may join only if
     no member of the grown set (i included) then reaches l.
     """
-    if not _l_conflict_free_mask(fw, l, floor):
+    if least_tolerance(fw, floor) > l:
         return
     everyone = fw.full_mask
     attackers = [fw.attacker_mask(i) for i in range(len(fw))]
@@ -227,36 +224,28 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     those of the full subset scan ``_scan_extensions``. Extensions come
     out sorted by (size, bitmask).
     """
-    cap = resolve_max_args(max_args)
-    if len(fw) > cap:
-        raise TooLargeError(
-            f"{len(fw)} arguments exceed the enumeration cap {cap}")
+    _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
-    least = _lfp_mask(fw, m, n, 0)
+    *_, least = defense_orbit(fw, m, n, 0)
     if semantics is Semantics.GROUNDED:
-        if _l_conflict_free_mask(fw, l, least):
+        if least_tolerance(fw, least) <= l:
             return _family(fw, semantics, params, [least])
         return _no_grounded(fw, params, least)
-    greatest = _lfp_mask(fw, m, n, fw.full_mask)
-    if semantics is Semantics.ADMISSIBLE:
-        hits = [x for x in _candidates(fw, l, 0, greatest)
-                if _l_conflict_free_mask(fw, l, x)
-                and x & ~defense_mask(fw, m, n, x) == 0]
-        return _family(fw, semantics, params, hits)
-    if semantics is Semantics.STABLE:
-        hits = [x for x in _candidates(fw, min(l, m), least, greatest)
-                if defense_mask(fw, m, n, x) == x
-                and neutrality_mask(fw, m, x) == x
-                and _l_conflict_free_mask(fw, l, x)]
-        return _family(fw, semantics, params, hits)
-    completes = [x for x in _candidates(fw, l, least, greatest)
-                 if _l_conflict_free_mask(fw, l, x)
-                 and defense_mask(fw, m, n, x) == x]
-    if semantics is Semantics.COMPLETE:
-        return _family(fw, semantics, params, completes)
+    *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
+    floor = 0 if semantics is Semantics.ADMISSIBLE else least
+    tolerance = min(l, m) if semantics is Semantics.STABLE else l
+    return _select(fw, semantics, params,
+                   _candidates(fw, tolerance, floor, greatest))
+
+
+def _select(fw: ArgumentationFramework, semantics: Semantics,
+            params: GradeParams, candidates: Iterable[int]) -> ExtensionFamily:
+    """The family of the candidates that satisfy the semantics'
+    predicate; for preferred, the maximal complete ones."""
+    hits = [x for x in candidates if _satisfies(fw, semantics, params, x)]
     if semantics is Semantics.PREFERRED:
-        return _family(fw, semantics, params, _maximal(completes))
-    raise ValueError(f"unknown semantics {semantics!r}")
+        hits = _maximal(hits)
+    return _family(fw, semantics, params, hits)
 
 
 def _maximal(masks: list[int]) -> list[int]:
@@ -292,39 +281,24 @@ def _subsets_by_popcount(n: int) -> Iterator[int]:
 def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
                      params: GradeParams) -> ExtensionFamily:
     """The same families as enumerate_extensions, found by testing every
-    one of the 2^n subsets; no cap. A reference for the tests only."""
-    l, m, n = params.l, params.m, params.n
-    if semantics is Semantics.ADMISSIBLE:
-        hits = [x for x in _subsets_by_popcount(len(fw))
-                if _l_conflict_free_mask(fw, l, x)
-                and x & ~defense_mask(fw, m, n, x) == 0]
-        return _family(fw, semantics, params, hits)
-    if semantics is Semantics.STABLE:
-        hits = [x for x in _subsets_by_popcount(len(fw))
-                if defense_mask(fw, m, n, x) == x
-                and neutrality_mask(fw, m, x) == x
-                and _l_conflict_free_mask(fw, l, x)]
-        return _family(fw, semantics, params, hits)
-    completes = [x for x in _subsets_by_popcount(len(fw))
-                 if _l_conflict_free_mask(fw, l, x)
-                 and defense_mask(fw, m, n, x) == x]
-    if semantics is Semantics.COMPLETE:
-        return _family(fw, semantics, params, completes)
-    if semantics is Semantics.PREFERRED:
-        return _family(fw, semantics, params, _maximal(completes))
-    if semantics is Semantics.GROUNDED:
-        if not completes:
-            return _no_grounded(fw, params, _lfp_mask(fw, m, n, 0))
-        least = [x for x in completes
-                 if all(x & ~y == 0 for y in completes)]
-        if not least:
-            return ExtensionFamily(
-                semantics, params, (), Existence.NO_UNIQUE_MINIMUM,
-                Witness("complete family has no least element; "
-                        "a minimal element shown",
-                        ArgumentSet(fw, completes[0])))
-        return _family(fw, semantics, params, least)
-    raise ValueError(f"unknown semantics {semantics!r}")
+    one of the 2^n subsets; no cap. A reference for the tests only, so
+    grounded keeps its own rule: the least of all complete extensions."""
+    subsets = _subsets_by_popcount(len(fw))
+    if semantics is not Semantics.GROUNDED:
+        return _select(fw, semantics, params, subsets)
+    completes = [e.mask for e in _select(
+        fw, Semantics.COMPLETE, params, subsets).extensions]
+    if not completes:
+        *_, least = defense_orbit(fw, params.m, params.n, 0)
+        return _no_grounded(fw, params, least)
+    least = [x for x in completes if all(x & ~y == 0 for y in completes)]
+    if not least:
+        return ExtensionFamily(
+            semantics, params, (), Existence.NO_UNIQUE_MINIMUM,
+            Witness("complete family has no least element; "
+                    "a minimal element shown",
+                    ArgumentSet(fw, completes[0])))
+    return _family(fw, semantics, params, least)
 
 
 def _family(fw: ArgumentationFramework, semantics: Semantics,
@@ -340,35 +314,38 @@ def _family(fw: ArgumentationFramework, semantics: Semantics,
 # -- constructions ------------------------------------------------------
 
 
-def _require_constraint(params: GradeParams) -> None:
+def _closure(fw: ArgumentationFramework, params: GradeParams,
+             x: ArgumentSet) -> IterationStream:
+    """The gate every construction passes: existence-safe params, then
+    an admissible start, then the defense iteration from it."""
     if not params.existence_safe:
         raise ConstraintViolatedError(
             f"params (l={params.l}, m={params.m}, n={params.n}) lie outside "
             "the existence-safe region (need n >= m and l >= m)")
+    if not is_lmn_admissible(fw, params, x):
+        raise NotAdmissibleError(
+            f"start set {x} is not ({params.l},{params.m},{params.n})-admissible")
+    return lfp_from(fw, params.m, params.n, x)
 
 
-def grounded_unconditional(fw: ArgumentationFramework,
-                           params: GradeParams) -> ArgumentSet | None:
-    """Least defense fixpoint if l-conflict-free, else None.
-
-    Provably equal to what enumerate_extensions reports for the grounded
-    semantics at any triple: every fixpoint contains the least one, so a
-    conflict inside the least fixpoint persists in all of them.
-    """
-    limit = _lfp_mask(fw, params.m, params.n, 0)
-    if _l_conflict_free_mask(fw, params.l, limit):
-        return ArgumentSet(fw, limit)
-    return None
+def _conflict_free_closure(fw: ArgumentationFramework, params: GradeParams,
+                           x: ArgumentSet, limit: ArgumentSet) -> ArgumentSet:
+    """The closure limit of x, unless it has too many internal attacks."""
+    if least_tolerance(fw, limit.mask) > params.l:
+        raise NoExtensionError(
+            f"no ({params.l},{params.m},{params.n})-complete extension "
+            f"contains {x}: its defense closure is not "
+            f"{params.l}-conflict-free", Witness(
+                "defense closure with too many internal attacks", limit))
+    return limit
 
 
 def grounded_by_construction(fw: ArgumentationFramework,
                              params: GradeParams) -> ExtensionFamily:
     """The least complete extension, built by iterating defense from
     the empty set; only defined on the existence-safe region."""
-    _require_constraint(params)
-    stream = lfp_from(fw, params.m, params.n, fw.empty_set())
-    limit = stream.limit
-    if not _l_conflict_free_mask(fw, params.l, limit.mask):
+    limit = _closure(fw, params, fw.empty_set()).limit
+    if least_tolerance(fw, limit.mask) > params.l:
         return ExtensionFamily(
             Semantics.GROUNDED, params, (), Existence.NONE_EXISTS,
             Witness("least defense fixpoint is not l-conflict-free", limit))
@@ -386,18 +363,8 @@ def complete_closure(fw: ArgumentationFramework, params: GradeParams,
     that fixpoint, and conflict-freeness survives taking subsets, so in
     that case no complete extension contains the start at all.
     """
-    _require_constraint(params)
-    if not is_lmn_admissible(fw, params, x):
-        raise NotAdmissibleError(
-            f"start set {x} is not ({params.l},{params.m},{params.n})-admissible")
-    limit = lfp_from(fw, params.m, params.n, x).limit
-    if not _l_conflict_free_mask(fw, params.l, limit.mask):
-        raise NoExtensionError(
-            f"no ({params.l},{params.m},{params.n})-complete extension "
-            f"contains {x}: its defense closure is not "
-            f"{params.l}-conflict-free", Witness(
-                "defense closure with too many internal attacks", limit))
-    return limit
+    return _conflict_free_closure(fw, params, x,
+                                  _closure(fw, params, x).limit)
 
 
 def preferred_by_reachability(fw: ArgumentationFramework,
@@ -414,10 +381,7 @@ def preferred_by_reachability(fw: ArgumentationFramework,
     other in a cycle that never bottoms out in the start, so a strictly
     larger complete extension may exist.
     """
-    _require_constraint(params)
-    if not is_lmn_admissible(fw, params, x):
-        raise NotAdmissibleError(
-            f"start set {x} is not ({params.l},{params.m},{params.n})-admissible")
+    limit = _closure(fw, params, x).limit
     reached = 0
     frontier = x.mask
     while frontier:
@@ -433,14 +397,7 @@ def preferred_by_reachability(fw: ArgumentationFramework,
         missing = ArgumentSet(fw, fw.full_mask & ~reached)
         raise NotReachingError(
             f"start set {x} does not attack-reach {missing}")
-    limit = lfp_from(fw, params.m, params.n, x).limit
-    if not _l_conflict_free_mask(fw, params.l, limit.mask):
-        raise NoExtensionError(
-            f"no ({params.l},{params.m},{params.n})-complete extension "
-            f"contains {x}: its defense closure is not "
-            f"{params.l}-conflict-free", Witness(
-                "defense closure with too many internal attacks", limit))
-    return limit
+    return _conflict_free_closure(fw, params, x, limit)
 
 
 def stable_convergence_check(fw: ArgumentationFramework, params: GradeParams,
@@ -453,11 +410,7 @@ def stable_convergence_check(fw: ArgumentationFramework, params: GradeParams,
     limits coincide, that common set is the smallest stable extension
     containing the start, re-checked against the stable predicate.
     """
-    _require_constraint(params)
-    if not is_lmn_admissible(fw, params, x):
-        raise NotAdmissibleError(
-            f"start set {x} is not ({params.l},{params.m},{params.n})-admissible")
-    lower = lfp_from(fw, params.m, params.n, x)
+    lower = _closure(fw, params, x)
     upper = neutrality_mask(fw, params.n, lower.limit.mask)
     if upper != lower.limit.mask:
         return ConvergenceReport(

@@ -285,6 +285,10 @@ def test_instantiate_usage_errors():
     code, _, err = run_cli(["instantiate", "--kb", "-"], "0: a\n")
     assert code == 2
     assert err.startswith("error: line 1: ")
+    code, _, err = run_cli(
+        ["instantiate", "--kb", "-", "--emit", "infer",
+         "--goal", "!" * 3000 + "a"], "1: a\n")
+    assert (code, err) == (2, "error: formula is nested too deeply\n")
 
 
 # -- packaging -------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from conftest import frameworks
 from gradarg.errors import FrameworkParseError
@@ -126,6 +126,35 @@ def test_tgf_round_trip(fw):
 @given(frameworks())
 def test_apx_round_trip(fw):
     assert parse_apx(write_apx(fw)) == fw
+
+
+@given(st.lists(st.text("ab#(),. \t", min_size=1, max_size=4), min_size=1,
+                max_size=5, unique=True),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6))
+@example(["f(x)", "y,z"], [(0, 1)])
+@example(["#", "a"], [(0, 1)])
+def test_parsed_frameworks_round_trip_or_are_refused(labels, edges):
+    """Whatever either parser accepts, each writer writes text that its
+    parser reads back as the same framework, or refuses a named label."""
+    edges = [(labels[s % len(labels)], labels[d % len(labels)])
+             for s, d in edges]
+    texts = ((parse_tgf, "\n".join(labels) + "\n#\n"
+              + "".join(f"{s} {d}\n" for s, d in edges)),
+             (parse_apx, "".join(f"arg({x}).\n" for x in labels)
+              + "".join(f"att({s},{d}).\n" for s, d in edges)))
+    for parser, text in texts:
+        try:
+            fw = parser(text)
+        except FrameworkParseError:
+            continue
+        for writer, reader in ((write_tgf, parse_tgf),
+                               (write_apx, parse_apx)):
+            try:
+                written = writer(fw)
+            except ValueError as exc:
+                assert any(repr(x) in str(exc) for x in fw.labels)
+                continue
+            assert reader(written) == fw
 
 
 # -- detection and dispatch ----------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 import oracles as oc
 from conftest import random_kb_text
 from gradarg.errors import (AtomBoundError, KnowledgeBaseError,
-                            TooManyArgumentsError)
+                            TooLargeError)
 from gradarg.instantiate import (ClassicalArgument, KnowledgeBase,
                                  build_defeat_graph, generate_arguments,
                                  graded_inference, parse_kb,
@@ -137,9 +137,9 @@ def test_inconsistent_base_formulas_get_no_premise_argument():
 
 
 def test_generated_argument_cap():
-    with pytest.raises(TooManyArgumentsError, match="exceed the limit 5"):
+    with pytest.raises(TooLargeError, match="exceed the limit 5"):
         generate_arguments(parse_kb(CONFLICT_BASE), max_args=5)
-    with pytest.raises(TooManyArgumentsError):
+    with pytest.raises(TooLargeError):
         build_defeat_graph(parse_kb(CONFLICT_BASE), max_args=5)
 
 

@@ -11,8 +11,7 @@ from gradarg.fixtures import (defended_two_on_one, isolated_node, mutual_pair,
                               two_on_one)
 from gradarg.framework import ArgumentationFramework
 from gradarg.kernel import (DefenseGrade, GradeOrdering, GradeParams,
-                            IterationStream, compare_grades,
-                            compare_grades_lexicographic, gfp_from,
+                            IterationStream, compare_grades, gfp_from,
                             graded_defense, graded_neutrality, lfp_from,
                             saturation_bound, unattacked_closure)
 from gradarg.semantics import is_lmn_admissible
@@ -33,7 +32,6 @@ def test_grade_params_validation():
         GradeParams(0, 1, 1)
     with pytest.raises(ValueError):
         DefenseGrade(1, 0)
-    assert GradeParams(2, 1, 3).defense_grade == DefenseGrade(1, 3)
 
 
 def test_existence_safe_region():
@@ -137,15 +135,6 @@ def test_compare_grades_is_transitive(g1, g2, g3):
     strong = {GradeOrdering.STRONGER, GradeOrdering.EQUAL}
     if compare_grades(g1, g2) in strong and compare_grades(g2, g3) in strong:
         assert compare_grades(g1, g3) in strong
-
-
-@given(grades, grades)
-def test_lexicographic_totalizes_the_partial_order(g1, g2):
-    total = compare_grades_lexicographic(g1, g2)
-    assert total is not GradeOrdering.INCOMPARABLE
-    partial = compare_grades(g1, g2)
-    if partial is not GradeOrdering.INCOMPARABLE:
-        assert total is partial
 
 
 # -- fixpoint streams -----------------------------------------------------------------

@@ -16,8 +16,7 @@ from gradarg.kernel import (GradeParams, graded_neutrality, lfp_from,
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
                                JustificationMode, Semantics, _scan_extensions,
                                complete_closure, enumerate_extensions,
-                               grounded_by_construction,
-                               grounded_unconditional, is_l_conflict_free,
+                               grounded_by_construction, is_l_conflict_free,
                                is_lmn_admissible, is_lmn_complete,
                                is_lmn_stable, justified,
                                preferred_by_reachability, resolve_max_args,
@@ -246,15 +245,15 @@ def test_grounded_construction_agrees_with_enumeration_on_corpus():
 
 
 def test_grounded_unconditional_is_least_complete_everywhere():
+    """Grounded enumeration, which is the least-fixpoint check alone, is
+    the oracle's least complete extension at every triple, gated or not."""
     for fw in seeded_corpus(25, sizes=(2, 6), seed0=500):
         labels, attacks = labels_attacks(fw)
         for params in all_triples(saturation_bound(fw)):
-            got = grounded_unconditional(fw, params)
+            got = enumerate_extensions(fw, Semantics.GROUNDED, params)
             fam = oc.extension_family(labels, attacks, "grounded",
                                       params.l, params.m, params.n)
-            want = next(iter(fam)) if fam else None
-            have = frozenset(got.labels) if got is not None else None
-            assert have == want
+            assert family_sets(got) == fam
 
 
 # -- closure and reachability constructions -------------------------------------------
@@ -314,8 +313,22 @@ def test_preferred_by_reachability_requires_reach():
     fw = shared_target_chain()
     with pytest.raises(NotReachingError, match="does not attack-reach"):
         preferred_by_reachability(fw, GradeParams(1, 1, 1), fw.empty_set())
-    with pytest.raises(NotAdmissibleError):
-        preferred_by_reachability(fw, GradeParams(1, 1, 1), fw.set_of(["c"]))
+    # neither start is admissible or reaches a and b: admissibility is
+    # checked first
+    for start in (["c"], ["e"]):
+        with pytest.raises(NotAdmissibleError):
+            preferred_by_reachability(fw, GradeParams(1, 1, 1),
+                                      fw.set_of(start))
+    # {d} is admissible at (2, 1, 1) and misses b and c; its closure adds
+    # a, which gives d two internal attackers, but the reach check comes
+    # first
+    loop = ArgumentationFramework(["a", "b", "c", "d"],
+                                  [("a", "d"), ("d", "a"), ("d", "d")])
+    with pytest.raises(NoExtensionError):
+        complete_closure(loop, GradeParams(2, 1, 1), loop.set_of(["d"]))
+    with pytest.raises(NotReachingError):
+        preferred_by_reachability(loop, GradeParams(2, 1, 1),
+                                  loop.set_of(["d"]))
 
 
 def test_preferred_by_reachability_can_miss_maximality_when_l_exceeds_m():
