@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_MAX_ARGS = 24
 
@@ -257,6 +257,24 @@ def random_framework(n_args: int, edge_prob: float,
     return ArgumentationFramework(labels, attacks)
 
 
+def _reach(step: Callable[[int], int], frontier: int,
+           reached: int = 0) -> int:
+    """The union of ``reached`` and every index that ``step`` leads to
+    from the frontier, in one or more steps: OR the step masks of the
+    frontier's members, drop what is already reached, and repeat until
+    nothing new appears."""
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= step(low.bit_length() - 1)
+            m ^= low
+        frontier = nxt & ~reached
+        reached |= nxt
+    return reached
+
+
 def connected_components(
         fw: ArgumentationFramework) -> tuple[ArgumentationFramework, ...]:
     """Weakly connected components as label-preserving sub-frameworks.
@@ -265,23 +283,13 @@ def connected_components(
     arguments form singleton components.
     """
     n = len(fw)
-    undirected = [fw.attacker_mask(i) | fw.target_mask(i) for i in range(n)]
     seen = 0
     parts: list[ArgumentationFramework] = []
     for start in range(n):
         if seen >> start & 1:
             continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= undirected[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~comp
-            comp |= nxt
+        comp = _reach(lambda i: fw.attacker_mask(i) | fw.target_mask(i),
+                      1 << start, 1 << start)
         seen |= comp
         members = [i for i in range(n) if comp >> i & 1]
         labels = [fw.labels[i] for i in members]

@@ -79,12 +79,16 @@ def parse_kb(text: str) -> KnowledgeBase:
             raise KnowledgeBaseError("stratum index must be >= 1", lineno)
         try:
             formula = parse_formula(match.group(2))
+            first = seen.setdefault(formula, lineno)
+        except RecursionError:
+            # hashing a formula recurses through its nesting
+            raise KnowledgeBaseError(
+                "formula is nested too deeply", lineno) from None
         except Exception as exc:
             raise KnowledgeBaseError(str(exc), lineno) from exc
-        if formula in seen:
+        if first != lineno:
             raise KnowledgeBaseError(
-                f"formula already given on line {seen[formula]}", lineno)
-        seen[formula] = lineno
+                f"formula already given on line {first}", lineno)
         by_level.setdefault(level, []).append(formula)
     if not by_level:
         raise KnowledgeBaseError("empty knowledge base")

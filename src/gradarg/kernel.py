@@ -4,17 +4,23 @@ The neutrality operator at tolerance l keeps the arguments with fewer
 than l attackers inside a set. The defense operator at grade (m, n)
 keeps the arguments with fewer than m live attackers, where an attacker
 counts as live when the set musters fewer than n counter-attackers
-against it. Defense is exactly neutrality composed with itself at the
-two thresholds, and both collapse to the classical Dung operators at
-threshold one.
+against it. Both collapse to the classical Dung operators at threshold
+one.
+
+In-set attackers are counted in two places only. ``neutrality_mask``
+counts them for every argument: defense is computed as neutrality
+composed with itself, d_mn(X) = n_m(n_n(X)), since the n-neutral set of
+X holds exactly the attackers X fails to counter n times, and the
+unattacked arguments are the 1-neutral set of the whole framework.
+``least_tolerance`` counts them for the members of a set: a set is
+l-conflict-free exactly when its least tolerance is at most l, which is
+also the only test the subset search prunes with.
 
 Every iteration of defense in the package is one ``defense_orbit``:
 from the empty set its last stage is the least fixpoint, from the full
 set the greatest, and from any context the stages trace the orbit that
 contextual rankings collect. ``lfp_from`` and ``gfp_from`` keep the
-stage-by-stage record so callers can inspect convergence. The one
-in-set attacker count is ``least_tolerance``: a set is l-conflict-free
-exactly when its least tolerance is at most l.
+stage-by-stage record so callers can inspect convergence.
 """
 from __future__ import annotations
 
@@ -93,23 +99,7 @@ def neutrality_mask(fw: ArgumentationFramework, l: int, xmask: int) -> int:
 
 def defense_mask(fw: ArgumentationFramework, m: int, n: int,
                  xmask: int) -> int:
-    out = 0
-    bit = 1
-    attacker_mask = fw.attacker_mask
-    for i in range(len(fw)):
-        live = 0
-        att = attacker_mask(i)
-        while att:
-            low = att & -att
-            if (attacker_mask(low.bit_length() - 1) & xmask).bit_count() < n:
-                live += 1
-                if live >= m:
-                    break
-            att ^= low
-        if live < m:
-            out |= bit
-        bit <<= 1
-    return out
+    return neutrality_mask(fw, m, neutrality_mask(fw, n, xmask))
 
 
 def least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
@@ -177,12 +167,9 @@ def saturation_bound(fw: ArgumentationFramework) -> int:
 
 
 def unattacked_closure(fw: ArgumentationFramework) -> ArgumentSet:
-    """The arguments with no attackers at all."""
-    mask = 0
-    for i in range(len(fw)):
-        if fw.attacker_mask(i) == 0:
-            mask |= 1 << i
-    return ArgumentSet(fw, mask)
+    """The arguments with no attackers at all: the 1-neutral set of the
+    whole framework."""
+    return ArgumentSet(fw, neutrality_mask(fw, 1, fw.full_mask))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
                         disjoint_union, random_framework, relabel)
+from .kernel import unattacked_closure
 from .ranking import (ArgumentPartialOrder, JustificationSignature,
                       Relation, absolute_rank, absolute_signature)
 from .semantics import Semantics
@@ -76,7 +77,7 @@ def _pairs(labels: Sequence[str]) -> Iterable[tuple[str, str]]:
 def check_abstraction(framework: ArgumentationFramework,
                       permutation: Mapping[str, str] | None = None,
                       semantics: Sequence[Semantics] = RANKED_SEMANTICS,
-                      max_args: int | None = None) -> PostulateVerdict:
+                      ) -> PostulateVerdict:
     """Renaming arguments must not change any pairwise relation."""
     labels = framework.labels
     if permutation is None:
@@ -84,8 +85,8 @@ def check_abstraction(framework: ArgumentationFramework,
                        for i in range(len(labels))}
     renamed = relabel(framework, dict(permutation))
     for sem in semantics:
-        original = absolute_rank(framework, sem, max_args=max_args)
-        mapped = absolute_rank(renamed, sem, max_args=max_args)
+        original = absolute_rank(framework, sem)
+        mapped = absolute_rank(renamed, sem)
         for x, y in _pairs(labels):
             before = original.compare(x, y)
             after = mapped.compare(permutation[x], permutation[y])
@@ -108,18 +109,17 @@ def _constrained(signatures: dict[str, JustificationSignature],
 def check_independence(framework: ArgumentationFramework,
                        strict: bool = False,
                        semantics: Sequence[Semantics] = RANKED_SEMANTICS,
-                       max_args: int | None = None) -> PostulateVerdict:
+                       ) -> PostulateVerdict:
     """A relation established inside a connected component must survive
     in the whole framework. Compared over the triples where the
     semantics is guaranteed to exist."""
     name = "strict independence" if strict else "independence"
     components = connected_components(framework)
     for sem in semantics:
-        signatures = absolute_signature(framework, sem, max_args=max_args)
+        signatures = absolute_signature(framework, sem)
         whole = _constrained(signatures)
         for component in components:
-            part = _constrained(absolute_signature(component, sem,
-                                                   max_args=max_args))
+            part = _constrained(absolute_signature(component, sem))
             for x, y in _pairs(component.labels):
                 part_at_least = part[y] <= part[x]
                 if strict:
@@ -143,25 +143,22 @@ def check_independence(framework: ArgumentationFramework,
 
 def check_strict_independence(framework: ArgumentationFramework,
                               semantics: Sequence[Semantics] = RANKED_SEMANTICS,
-                              max_args: int | None = None) -> PostulateVerdict:
-    return check_independence(framework, strict=True, semantics=semantics,
-                              max_args=max_args)
+                              ) -> PostulateVerdict:
+    return check_independence(framework, strict=True, semantics=semantics)
 
 
 def check_void_precedence(framework: ArgumentationFramework,
                           semantics: Semantics | None = None,
-                          max_args: int | None = None) -> PostulateVerdict:
+                          ) -> PostulateVerdict:
     """Unattacked arguments must rank strictly above attacked ones.
     Default checks grounded and preferred; pass Semantics.STABLE for
     the separate stable report."""
     sems = ((Semantics.GROUNDED, Semantics.PREFERRED)
             if semantics is None else (semantics,))
-    unattacked = [lab for lab in framework.labels
-                  if framework.in_degree(lab) == 0]
-    attacked = [lab for lab in framework.labels
-                if framework.in_degree(lab) > 0]
+    core = unattacked_closure(framework)
+    unattacked, attacked = core.labels, core.complement().labels
     for sem in sems:
-        order = absolute_rank(framework, sem, max_args=max_args)
+        order = absolute_rank(framework, sem)
         for x in unattacked:
             for y in attacked:
                 if not order.strictly_above(x, y):
@@ -175,12 +172,11 @@ def check_void_precedence(framework: ArgumentationFramework,
 
 def check_unattacked_equivalence(framework: ArgumentationFramework,
                                  semantics: Sequence[Semantics] = RANKED_SEMANTICS,
-                                 max_args: int | None = None) -> PostulateVerdict:
+                                 ) -> PostulateVerdict:
     """All unattacked arguments share one equivalence class."""
-    unattacked = [lab for lab in framework.labels
-                  if framework.in_degree(lab) == 0]
+    unattacked = unattacked_closure(framework).labels
     for sem in semantics:
-        order = absolute_rank(framework, sem, max_args=max_args)
+        order = absolute_rank(framework, sem)
         for x, y in _pairs(unattacked):
             rel = order.compare(x, y)
             if rel is not Relation.EQUIVALENT:
@@ -193,13 +189,13 @@ def check_unattacked_equivalence(framework: ArgumentationFramework,
 
 def check_self_contradiction(framework: ArgumentationFramework,
                              semantics: Semantics = Semantics.PREFERRED,
-                             max_args: int | None = None) -> PostulateVerdict:
+                             ) -> PostulateVerdict:
     """Every non-self-attacker must rank strictly above every
     self-attacker."""
     selfers = [lab for i, lab in enumerate(framework.labels)
                if framework.attacker_mask(i) >> i & 1]
     others = [lab for lab in framework.labels if lab not in selfers]
-    order = absolute_rank(framework, semantics, max_args=max_args)
+    order = absolute_rank(framework, semantics)
     for s in selfers:
         for y in others:
             if not order.strictly_above(y, s):
@@ -212,9 +208,9 @@ def check_self_contradiction(framework: ArgumentationFramework,
 
 def check_cardinality_precedence(framework: ArgumentationFramework,
                                  semantics: Semantics = Semantics.GROUNDED,
-                                 max_args: int | None = None) -> PostulateVerdict:
+                                 ) -> PostulateVerdict:
     """Fewer attackers must mean a strictly better rank."""
-    order = absolute_rank(framework, semantics, max_args=max_args)
+    order = absolute_rank(framework, semantics)
     for x, y in _pairs(framework.labels):
         if framework.in_degree(x) < framework.in_degree(y):
             if not order.strictly_above(x, y):
@@ -228,10 +224,10 @@ def check_cardinality_precedence(framework: ArgumentationFramework,
 
 def check_quality_precedence(framework: ArgumentationFramework,
                              semantics: Semantics = Semantics.PREFERRED,
-                             max_args: int | None = None) -> PostulateVerdict:
+                             ) -> PostulateVerdict:
     """If some attacker of y is strictly above every attacker of x,
     then x must be strictly above y."""
-    order = absolute_rank(framework, semantics, max_args=max_args)
+    order = absolute_rank(framework, semantics)
     attackers = {lab: sorted(a.label for a in framework.attackers_of(lab))
                  for lab in framework.labels}
     for x, y in _pairs(framework.labels):
@@ -248,10 +244,10 @@ def check_quality_precedence(framework: ArgumentationFramework,
 
 def check_defense_precedence(framework: ArgumentationFramework,
                              semantics: Semantics = Semantics.GROUNDED,
-                             max_args: int | None = None) -> PostulateVerdict:
+                             ) -> PostulateVerdict:
     """Equal attack counts: a defended argument must beat an
     undefended one."""
-    order = absolute_rank(framework, semantics, max_args=max_args)
+    order = absolute_rank(framework, semantics)
     for x, y in _pairs(framework.labels):
         if (framework.in_degree(x) == framework.in_degree(y) >= 1
                 and framework.defenders_of(x)
@@ -267,13 +263,12 @@ def check_defense_precedence(framework: ArgumentationFramework,
 
 def check_counter_transitivity(framework: ArgumentationFramework,
                                semantics: Semantics = Semantics.GROUNDED,
-                               strict: bool = True,
-                               max_args: int | None = None) -> PostulateVerdict:
+                               strict: bool = True) -> PostulateVerdict:
     """If y's attackers pairwise dominate x's attackers (injectively),
     x must be at least as good as y; strictly, in the strict form, when
     the domination is strict in count or in some matched pair."""
     name = "strict counter-transitivity" if strict else "counter-transitivity"
-    order = absolute_rank(framework, semantics, max_args=max_args)
+    order = absolute_rank(framework, semantics)
     attackers = {lab: sorted(a.label for a in framework.attackers_of(lab))
                  for lab in framework.labels}
     for x, y in _pairs(framework.labels):
@@ -328,14 +323,14 @@ def _side_by_side(base: ArgumentationFramework,
 def check_attack_path_addition(framework: ArgumentationFramework,
                                target: str, length: int = 1,
                                semantics: Semantics = Semantics.STABLE,
-                               max_args: int | None = None) -> PostulateVerdict:
+                               ) -> PostulateVerdict:
     """Grafting a fresh attack path of odd length onto an argument
     should strictly degrade it (even length: strictly improve it). The
     original and modified copies are ranked inside one disjoint union."""
     name = ("attack path addition" if length % 2 else
             "defense path addition")
     combined = _side_by_side(framework, _with_path(framework, target, length))
-    order = absolute_rank(combined, semantics, max_args=max_args)
+    order = absolute_rank(combined, semantics)
     changed = target + "_b"
     better, worse = ((target, changed) if length % 2 else (changed, target))
     if order.strictly_above(better, worse):
@@ -347,12 +342,12 @@ def check_attack_path_addition(framework: ArgumentationFramework,
         f"{'degrade' if length % 2 else 'improve'} it under {semantics.value}")
 
 
-def _path_increase(length: int, semantics: Semantics, name: str,
-                   max_args: int | None) -> PostulateVerdict:
+def _path_increase(length: int, semantics: Semantics,
+                   name: str) -> PostulateVerdict:
     short = fixtures.attack_chain(length)
     long = fixtures.attack_chain(length + 2)
     combined = _side_by_side(short, long)
-    order = absolute_rank(combined, semantics, max_args=max_args)
+    order = absolute_rank(combined, semantics)
     # odd = attack path: lengthening should help; even = defense path:
     # lengthening should hurt
     better, worse = (("y_b", "y") if length % 2 else ("y", "y_b"))
@@ -366,20 +361,18 @@ def _path_increase(length: int, semantics: Semantics, name: str,
 
 def check_attack_path_increase(length: int = 1,
                                semantics: Semantics = Semantics.GROUNDED,
-                               max_args: int | None = None) -> PostulateVerdict:
+                               ) -> PostulateVerdict:
     if length % 2 == 0:
         raise ValueError("attack paths have odd length")
-    return _path_increase(length, semantics, "attack path increase",
-                          max_args)
+    return _path_increase(length, semantics, "attack path increase")
 
 
 def check_defense_path_increase(length: int = 2,
                                 semantics: Semantics = Semantics.GROUNDED,
-                                max_args: int | None = None) -> PostulateVerdict:
+                                ) -> PostulateVerdict:
     if length % 2 == 1:
         raise ValueError("defense paths have even length")
-    return _path_increase(length, semantics, "defense path increase",
-                          max_args)
+    return _path_increase(length, semantics, "defense path increase")
 
 
 def check_named_counterexamples() -> tuple[PostulateVerdict, ...]:

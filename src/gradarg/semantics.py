@@ -32,7 +32,8 @@ from typing import Iterable, Iterator
 
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
-from .framework import ArgumentationFramework, ArgumentSet, DEFAULT_MAX_ARGS
+from .framework import (ArgumentationFramework, ArgumentSet,
+                        DEFAULT_MAX_ARGS, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
                      defense_orbit, least_tolerance, lfp_from,
                      neutrality_mask)
@@ -175,35 +176,19 @@ def _candidates(fw: ArgumentationFramework, l: int, floor: int,
     A depth-first search over the arguments of ceiling - floor in index
     order: each node adds one argument above the last one added, so every
     set is reached once. l-conflict-freeness is hereditary, so a branch
-    ends as soon as its set breaks it. Each node keeps its in-set attacker
-    counts as bit slices: ``ge[c - 1]`` holds the arguments (members or
-    not) with at least c attackers in the set, for c = 1..l-1. Adding i
-    raises the count of each target of i by one, and i may join only if
-    no member of the grown set (i included) then reaches l.
+    ends as soon as ``least_tolerance`` of its set exceeds l.
     """
     if least_tolerance(fw, floor) > l:
         return
-    everyone = fw.full_mask
-    attackers = [fw.attacker_mask(i) for i in range(len(fw))]
-    targets = [fw.target_mask(i) for i in range(len(fw))]
-    free = [i for i in range(len(fw)) if (ceiling & ~floor) >> i & 1]
-    ge = tuple(sum(1 << i for i in range(len(fw))
-                   if (attackers[i] & floor).bit_count() >= c)
-               for c in range(1, l))
-    stack = [(floor, ge, 0)]
+    free = [1 << i for i in range(len(fw)) if (ceiling & ~floor) >> i & 1]
+    stack = [(floor, 0)]
     while stack:
-        x, ge, k = stack.pop()
+        x, k = stack.pop()
         yield x
-        saturated = ge[-1] if ge else everyone
-        below = (everyone,) + ge
         for j in range(k, len(free)):
-            i = free[j]
-            y = x | 1 << i
-            hit = targets[i]
-            if (attackers[i] & y).bit_count() >= l or hit & y & saturated:
-                continue
-            stack.append((y, tuple(a | b & hit for a, b in zip(ge, below)),
-                          j + 1))
+            y = x | free[j]
+            if least_tolerance(fw, y) <= l:
+                stack.append((y, j + 1))
 
 
 def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
@@ -382,17 +367,7 @@ def preferred_by_reachability(fw: ArgumentationFramework,
     larger complete extension may exist.
     """
     limit = _closure(fw, params, x).limit
-    reached = 0
-    frontier = x.mask
-    while frontier:
-        step = 0
-        m = frontier
-        while m:
-            low = m & -m
-            step |= fw.target_mask(low.bit_length() - 1)
-            m ^= low
-        frontier = step & ~reached
-        reached |= step
+    reached = _reach(fw.target_mask, x.mask)
     if reached != fw.full_mask:
         missing = ArgumentSet(fw, fw.full_mask & ~reached)
         raise NotReachingError(

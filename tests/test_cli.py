@@ -289,6 +289,11 @@ def test_instantiate_usage_errors():
         ["instantiate", "--kb", "-", "--emit", "infer",
          "--goal", "!" * 3000 + "a"], "1: a\n")
     assert (code, err) == (2, "error: formula is nested too deeply\n")
+    for depth in (600, 900):
+        code, _, err = run_cli(["instantiate", "--kb", "-", "--emit", "check"],
+                               "1: " + "!" * depth + "a\n")
+        assert (code, err) == (
+            2, "error: line 1: formula is nested too deeply\n")
 
 
 # -- packaging -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,11 @@ from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (GradeParams, graded_neutrality, lfp_from,
                             saturation_bound, unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
-                               JustificationMode, Semantics, _scan_extensions,
-                               complete_closure, enumerate_extensions,
-                               grounded_by_construction, is_l_conflict_free,
-                               is_lmn_admissible, is_lmn_complete,
-                               is_lmn_stable, justified,
+                               JustificationMode, Semantics, _candidates,
+                               _scan_extensions, complete_closure,
+                               enumerate_extensions, grounded_by_construction,
+                               is_l_conflict_free, is_lmn_admissible,
+                               is_lmn_complete, is_lmn_stable, justified,
                                preferred_by_reachability, resolve_max_args,
                                stable_convergence_check)
 
@@ -187,6 +188,50 @@ def test_search_matches_scan_and_oracle(density):
                     assert family_sets(got) == oc.extension_family(
                         labels, attacks, semantics.value,
                         params.l, params.m, params.n)
+
+
+def _greatest_fixpoint(labels, attacks, m, n):
+    cur = frozenset(labels)
+    while True:
+        nxt = oc.graded_defense(labels, attacks, m, n, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+def test_candidates_yield_exactly_the_conflict_free_sets_between(density):
+    """The search on its own, before any predicate filters its output: at
+    every l in [1, K] it yields each oracle l-conflict-free set between
+    floor and ceiling exactly once. Bounds: the empty and the full set,
+    the least and greatest defense fixpoints at every (m, n), and a
+    random floor inside a random ceiling."""
+    rng = random.Random(8100)
+    corpus = [random_framework(size, density, 8000 + size)
+              for size in range(9)]
+    assert any(src == dst for fw in corpus for src, dst in fw.attacks)
+    for fw in corpus:
+        labels, attacks = labels_attacks(fw)
+        k = saturation_bound(fw)
+        bounds = [(frozenset(), frozenset(labels))]
+        for m in range(1, k + 1):
+            for n in range(1, k + 1):
+                bounds.append((oc.naive_lfp(labels, attacks, m, n),
+                               _greatest_fixpoint(labels, attacks, m, n)))
+        for _ in range(4):
+            ceiling = frozenset(x for x in labels if rng.random() < 0.7)
+            bounds.append((frozenset(x for x in ceiling
+                                     if rng.random() < 0.3), ceiling))
+        for l in range(1, k + 1):
+            free = [xs for xs in oc.powerset(labels)
+                    if oc.l_conflict_free(labels, attacks, l, xs)]
+            for floor, ceiling in bounds:
+                got = [frozenset(fw.set_from_mask(x).labels)
+                       for x in _candidates(fw, l, fw.set_of(floor).mask,
+                                            fw.set_of(ceiling).mask)]
+                assert len(got) == len(set(got))
+                assert set(got) == {xs for xs in free
+                                    if floor <= xs <= ceiling}
 
 
 # -- the constraint gate ----------------------------------------------------------
