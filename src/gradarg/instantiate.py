@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from .errors import AtomBoundError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import GradeParams
 from .logic import (MAX_ATOMS, Formula, atoms, complement, complementary,
-                    entails, format_formula, is_consistent, parse_formula)
+                    format_formula, parse_formula, truth_tables)
 from .semantics import (JustificationMode, Semantics, _check_cap,
                         enumerate_extensions)
 
@@ -96,41 +96,51 @@ def parse_kb(text: str) -> KnowledgeBase:
         tuple(by_level[k]) for k in sorted(by_level)))
 
 
-def _maximal_consistent(prefix: tuple[Formula, ...],
-                        stratum: tuple[Formula, ...]) -> list[tuple[Formula, ...]]:
-    kept_masks: list[int] = []
-    kept: list[tuple[Formula, ...]] = []
-    size = len(stratum)
+def _conjoin(tables: Sequence[int], mask: int, rows: int) -> int:
+    """The table of the formulas whose bits are set in mask, within
+    rows."""
+    while mask:
+        low = mask & -mask
+        rows &= tables[low.bit_length() - 1]
+        mask ^= low
+    return rows
+
+
+def _members(formulas: Sequence[Formula], mask: int) -> frozenset[Formula]:
+    return frozenset(f for i, f in enumerate(formulas) if mask >> i & 1)
+
+
+def _maximal_consistent(tables: Sequence[int],
+                        prefix: int) -> list[tuple[int, int]]:
+    """The maximal masks of a stratum's tables consistent with the
+    prefix's table, each with the table of the extended prefix."""
+    kept: list[tuple[int, int]] = []
     # descending popcount so kept sets are maximal by construction
-    for mask in sorted(range(1 << size), key=lambda v: (-v.bit_count(), v)):
-        if any(prev & mask == mask for prev in kept_masks):
+    for mask in sorted(range(1 << len(tables)),
+                       key=lambda v: (-v.bit_count(), v)):
+        if any(prev & mask == mask for prev, _ in kept):
             continue
-        chosen = tuple(stratum[i] for i in range(size) if mask >> i & 1)
-        if is_consistent(prefix + chosen):
-            kept_masks.append(mask)
-            kept.append(chosen)
+        table = _conjoin(tables, mask, prefix)
+        if table:
+            kept.append((mask, table))
     return kept
 
 
 def preferred_subtheories(kb: KnowledgeBase) -> tuple[frozenset[Formula], ...]:
     """All bases obtainable by greedily taking a maximal consistent
     subset of each stratum in preference order."""
-    prefixes: list[tuple[Formula, ...]] = [()]
+    base = kb.formulas
+    tables, rows = truth_tables(base)
+    prefixes = [(0, rows)]  # premise mask over the base, and its table
+    offset = 0
     for stratum in kb.strata:
-        prefixes = [prefix + chosen
-                    for prefix in prefixes
-                    for chosen in _maximal_consistent(prefix, stratum)]
-    ordered = kb.formulas
-    index = {f: i for i, f in enumerate(ordered)}
-
-    def mask_of(subset: Iterable[Formula]) -> int:
-        out = 0
-        for f in subset:
-            out |= 1 << index[f]
-        return out
-
-    unique = {mask_of(p): frozenset(p) for p in prefixes}
-    return tuple(unique[m] for m in sorted(unique))
+        level = tables[offset:offset + len(stratum)]
+        prefixes = [(mask | chosen << offset, table)
+                    for mask, prefix in prefixes
+                    for chosen, table in _maximal_consistent(level, prefix)]
+        offset += len(stratum)
+    return tuple(_members(base, mask)
+                 for mask in sorted(mask for mask, _ in prefixes))
 
 
 @dataclass(frozen=True)
@@ -147,20 +157,24 @@ class ClassicalArgument:
         return f"({{{inner}}}, {format_formula(self.claim)})"
 
 
-def _minimal_entailing(base: tuple[Formula, ...],
-                       goal: Formula) -> list[frozenset[Formula]]:
-    kept_masks: list[int] = []
-    out: list[frozenset[Formula]] = []
-    size = len(base)
+def _minimal_entailing(tables: Sequence[int], rows: int,
+                       refuted: Sequence[int]) -> list[list[int]]:
+    """For each goal, given by the table of its negation, the
+    subset-minimal masks of tables whose conjunction is consistent and
+    entails it. Each subset's table is formed once and tested against
+    every goal; none is kept, so memory stays linear in the kept sets."""
+    kept: list[list[int]] = [[] for _ in refuted]
     # ascending popcount: any superset of a kept set is non-minimal
-    for mask in sorted(range(1 << size), key=lambda v: (v.bit_count(), v)):
-        if any(prev & mask == prev for prev in kept_masks):
+    for mask in sorted(range(1 << len(tables)),
+                       key=lambda v: (v.bit_count(), v)):
+        table = _conjoin(tables, mask, rows)
+        if not table:
             continue
-        chosen = [base[i] for i in range(size) if mask >> i & 1]
-        if is_consistent(chosen) and entails(chosen, goal):
-            kept_masks.append(mask)
-            out.append(frozenset(chosen))
-    return out
+        for masks, negation in zip(kept, refuted):
+            if table & negation == 0 and not any(
+                    prev & mask == prev for prev in masks):
+                masks.append(mask)
+    return kept
 
 
 def generate_arguments(kb: KnowledgeBase,
@@ -168,23 +182,18 @@ def generate_arguments(kb: KnowledgeBase,
     """Premise arguments plus every minimal consistent entailer of the
     negation of a base formula. Order: premise bitmask, then claim text."""
     base = kb.formulas
-    found: set[ClassicalArgument] = set()
-    for beta in base:
-        if is_consistent([beta]):
-            found.add(ClassicalArgument(frozenset((beta,)), beta))
-    for goal in {complement(beta) for beta in base}:
-        for premises in _minimal_entailing(base, goal):
-            found.add(ClassicalArgument(premises, goal))
+    tables, rows = truth_tables(base)
+    found = {(1 << i, beta)
+             for i, (beta, table) in enumerate(zip(base, tables)) if table}
+    # a complement's negation has the table of the formula it negates
+    claims = {complement(beta): table for beta, table in zip(base, tables)}
+    for claim, masks in zip(claims, _minimal_entailing(
+            tables, rows, list(claims.values()))):
+        found.update((mask, claim) for mask in masks)
     _check_cap(len(found), max_args, "generated arguments", "the limit")
-    index = {f: i for i, f in enumerate(base)}
-
-    def key(arg: ClassicalArgument) -> tuple[int, str]:
-        mask = 0
-        for f in arg.premises:
-            mask |= 1 << index[f]
-        return mask, format_formula(arg.claim)
-
-    return tuple(sorted(found, key=key))
+    return tuple(ClassicalArgument(_members(base, mask), claim)
+                 for mask, claim in sorted(
+                     found, key=lambda arg: (arg[0], format_formula(arg[1]))))
 
 
 @dataclass(frozen=True)
@@ -300,12 +309,18 @@ def graded_inference(kb: KnowledgeBase, params: GradeParams, goal: Formula,
                      max_args: int | None = None) -> InferenceReport:
     """Whether every (sceptical) or some (credulous) premise set of an
     lmn-preferred extension of the defeat graph entails the goal."""
+    # compiled first so that a goal widening the atoms past the bound
+    # fails before any argument is generated
+    tables, rows = truth_tables(kb.formulas + (goal,))
+    refuted = rows ^ tables.pop()
+    index = {f: i for i, f in enumerate(kb.formulas)}
     graph = build_defeat_graph(kb, max_args)
     family = enumerate_extensions(graph.framework, Semantics.PREFERRED,
                                   params, max_args=max_args)
     sets = sorted(_premise_sets(graph, family.extensions),
                   key=lambda s: tuple(sorted(map(format_formula, s))))
-    answers = [entails(s, goal) for s in sets]
+    answers = [_conjoin(tables, sum(1 << index[f] for f in s), rows)
+               & refuted == 0 for s in sets]
     holds = (all(answers) if mode is JustificationMode.SCEPTICAL
              else any(answers))
     return InferenceReport(holds=holds, mode=mode, params=params, goal=goal,

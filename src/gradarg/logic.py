@@ -1,14 +1,19 @@
-"""Propositional formulas with truth-table entailment.
+"""Propositional formulas with integer truth-table entailment.
 
 Formulas are immutable ASTs over named atoms with negation,
-conjunction, disjunction, and implication. Entailment and consistency
-are decided by exhaustive truth tables, capped at 16 distinct atoms.
+conjunction, disjunction, and implication. A formula is compiled once
+into an integer truth table over a fixed order of k atoms: bit r is its
+value on row r, the row that gives the i-th atom the value of bit i of
+r. A set of formulas is then consistent when the AND of their tables is
+non-zero, and premises entail a goal when `premises & ~goal == 0`.
+Tables have 2^k bits, so k is capped at 16 distinct atoms. The compiler
+and the atom walk keep explicit stacks instead of recursing, so the
+depth of a formula is bounded by memory alone.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import AtomBoundError, FormulaParseError
@@ -154,47 +159,78 @@ def format_formula(f: Formula) -> str:
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Not):
-        return atoms(f.operand)
-    return atoms(f.left) | atoms(f.right)
+    names: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            names.add(g.name)
+        elif isinstance(g, Not):
+            stack.append(g.operand)
+        else:
+            stack += (g.left, g.right)
+    return frozenset(names)
+
+
+def _compile(f: Formula, atom_tables: Mapping[str, int], rows: int) -> int:
+    """The table of f, given each atom's table and the table of all
+    rows, by a post-order walk: a connective's class is pushed as a
+    marker below its operands and applied once their tables are on the
+    value stack."""
+    values: list[int] = []
+    stack: list[Formula | type] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            values.append(atom_tables[g.name])
+        elif g is Not:
+            values.append(rows ^ values.pop())
+        elif isinstance(g, type):
+            right, left = values.pop(), values.pop()
+            values.append(left & right if g is And else
+                          left | right if g is Or else (rows ^ left) | right)
+        elif isinstance(g, Not):
+            stack += (Not, g.operand)
+        else:
+            stack += (type(g), g.right, g.left)
+    return values[0]
+
+
+def truth_tables(formulas: Iterable[Formula]) -> tuple[list[int], int]:
+    """Each formula's table over the sorted union of their atoms, and
+    the table of all rows."""
+    fs = list(formulas)
+    names = sorted(frozenset().union(*map(atoms, fs)))
+    if len(names) > MAX_ATOMS:
+        raise AtomBoundError(
+            f"{len(names)} atoms exceed the truth-table bound {MAX_ATOMS}")
+    rows = (1 << (1 << len(names))) - 1
+    # atom i is false on 2^i rows, then true on the next 2^i, repeating
+    atom_tables = {
+        name: (((1 << (1 << i)) - 1) << (1 << i))
+        * (rows // ((1 << (2 << i)) - 1))
+        for i, name in enumerate(names)}
+    return [_compile(f, atom_tables, rows) for f in fs], rows
 
 
 def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    if isinstance(f, Atom):
-        return assignment[f.name]
-    if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    return not evaluate(f.left, assignment) or evaluate(f.right, assignment)
-
-
-def _assignments(names: frozenset[str]) -> Iterable[dict[str, bool]]:
-    ordered = sorted(names)
-    if len(ordered) > MAX_ATOMS:
-        raise AtomBoundError(
-            f"{len(ordered)} atoms exceed the truth-table bound {MAX_ATOMS}")
-    for values in product((False, True), repeat=len(ordered)):
-        yield dict(zip(ordered, values))
+    """The value of f under the assignment: its one-row truth table."""
+    row = {name: 1 if assignment[name] else 0 for name in atoms(f)}
+    return _compile(f, row, 1) == 1
 
 
 def is_consistent(formulas: Iterable[Formula]) -> bool:
-    fs = list(formulas)
-    names = frozenset().union(*(atoms(f) for f in fs)) if fs else frozenset()
-    return any(all(evaluate(f, a) for f in fs) for a in _assignments(names))
+    tables, rows = truth_tables(formulas)
+    for table in tables:
+        rows &= table
+    return rows != 0
 
 
 def entails(premises: Iterable[Formula], goal: Formula) -> bool:
-    ps = list(premises)
-    names = atoms(goal)
-    for f in ps:
-        names |= atoms(f)
-    return all(evaluate(goal, a) for a in _assignments(names)
-               if all(evaluate(f, a) for f in ps))
+    (*tables, target), rows = truth_tables([*premises, goal])
+    for table in tables:
+        rows &= table
+    return rows & ~target == 0
 
 
 def strip_double_negation(f: Formula) -> Formula:

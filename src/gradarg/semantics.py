@@ -52,7 +52,6 @@ class Semantics(Enum):
 class Existence(Enum):
     FOUND = "found"
     NONE_EXISTS = "none-exists"
-    NO_UNIQUE_MINIMUM = "no-unique-minimum"
 
 
 class JustificationMode(Enum):
@@ -267,7 +266,13 @@ def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
                      params: GradeParams) -> ExtensionFamily:
     """The same families as enumerate_extensions, found by testing every
     one of the 2^n subsets; no cap. A reference for the tests only, so
-    grounded keeps its own rule: the least of all complete extensions."""
+    grounded keeps its own rule: the least of all complete extensions.
+
+    That least element exists whenever a complete extension does.
+    Defense is monotone, so its least fixpoint lies inside every
+    fixpoint, hence inside every complete extension; conflict-freeness
+    is hereditary, so the least fixpoint is then l-conflict-free and is
+    itself the least complete extension."""
     subsets = _subsets_by_popcount(len(fw))
     if semantics is not Semantics.GROUNDED:
         return _select(fw, semantics, params, subsets)
@@ -277,12 +282,6 @@ def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
         *_, least = defense_orbit(fw, params.m, params.n, 0)
         return _no_grounded(fw, params, least)
     least = [x for x in completes if all(x & ~y == 0 for y in completes)]
-    if not least:
-        return ExtensionFamily(
-            semantics, params, (), Existence.NO_UNIQUE_MINIMUM,
-            Witness("complete family has no least element; "
-                    "a minimal element shown",
-                    ArgumentSet(fw, completes[0])))
     return _family(fw, semantics, params, least)
 
 

@@ -296,6 +296,18 @@ def test_instantiate_usage_errors():
             2, "error: line 1: formula is nested too deeply\n")
 
 
+def test_goal_atoms_past_the_bound_fail_before_generation(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("arguments were generated")
+
+    monkeypatch.setattr("gradarg.instantiate.generate_arguments", generate)
+    wide = "".join(f"1: p{i}\n" for i in range(16))
+    code, out, err = run_cli(
+        ["instantiate", "--kb", "-", "--emit", "infer", "--goal", "q"], wide)
+    assert (code, out, err) == (
+        1, "", "error: 17 atoms exceed the truth-table bound 16\n")
+
+
 # -- packaging -------------------------------------------------------------------
 
 

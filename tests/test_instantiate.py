@@ -10,14 +10,19 @@ from gradarg.instantiate import (ClassicalArgument, KnowledgeBase,
                                  preferred_subtheories,
                                  ps_correspondence_check)
 from gradarg.kernel import GradeParams
-from gradarg.logic import (complement, complementary, format_formula,
-                           parse_formula)
+from gradarg.logic import (complement, complementary, entails,
+                           format_formula, parse_formula)
 from gradarg.ranking import Relation, absolute_rank
 from gradarg.semantics import JustificationMode, Semantics
 
 CONFLICT_BASE = "1: a\n1: b\n1: !a | !b\n1: !a\n"
 DEMOTED_BASE = "1: a\n1: b\n1: !a | !b\n2: !a\n"
 TWO_PS_BASE = "1: !a | !b\n2: a\n2: b\n"
+# seven formulas over five atoms each, wider than the random bases
+WIDE_BASES = (
+    "1: a\n1: a -> b\n2: b -> c\n2: !c | d\n3: !d\n3: e & !a\n3: c | e\n",
+    "1: a | b\n1: !a | c\n2: !b\n2: d -> !c\n2: d\n3: e -> a\n3: !e | !c\n",
+)
 
 
 def formula_sets(sets) -> set[frozenset]:
@@ -124,6 +129,22 @@ def test_generated_arguments_satisfy_the_definition():
             assert arg.claim in complements
             assert frozenset(premises) in oc.minimal_entailers(base,
                                                                arg.claim)
+
+
+def test_generated_arguments_are_exactly_the_definition():
+    """Completeness as well as soundness: premise arguments of the
+    consistent formulas, plus every minimal entailer of a complement."""
+    texts = [random_kb_text(seed + 300) for seed in range(25)]
+    for text in texts + list(WIDE_BASES):
+        kb = parse_kb(text)
+        base = list(kb.formulas)
+        expected = {(frozenset((beta,)), beta) for beta in base
+                    if oc.consistent([beta])}
+        for claim in {complement(beta) for beta in base}:
+            expected |= {(premises, claim) for premises
+                         in oc.minimal_entailers(base, claim)}
+        got = {(arg.premises, arg.claim) for arg in generate_arguments(kb)}
+        assert got == expected, text
 
 
 def test_inconsistent_base_formulas_get_no_premise_argument():
@@ -263,6 +284,21 @@ def test_graded_inference_modes_differ_on_disputed_goals():
     undisputed = parse_formula("!a | !b")
     assert graded_inference(kb, GradeParams(1, 1, 1), undisputed,
                             JustificationMode.SCEPTICAL).holds
+
+
+def test_goal_atoms_outside_the_base_widen_the_tables():
+    kb = parse_kb("1: a\n1: a -> b\n2: !b\n")
+    params = GradeParams(1, 1, 1)
+    for text, holds in (("b | c", True), ("c", False), ("c | !c", True),
+                        ("a & c", False), ("c -> a", True)):
+        goal = parse_formula(text)
+        report = graded_inference(kb, params, goal,
+                                  JustificationMode.SCEPTICAL)
+        assert report.holds is holds, text
+        assert [entails(s, goal) for s in report.premise_sets] == [
+            oc.entails(list(s), goal) for s in report.premise_sets]
+        assert all(oc.entails(list(s), goal) for s in report.premise_sets) \
+            is holds
 
 
 # -- rankings over defeat graphs -------------------------------------------------

@@ -8,7 +8,7 @@ from gradarg.errors import AtomBoundError, FormulaParseError
 from gradarg.logic import (And, Atom, Implies, MAX_ATOMS, Not, Or, atoms,
                            complement, complementary, entails, evaluate,
                            format_formula, is_consistent, parse_formula,
-                           strip_double_negation)
+                           strip_double_negation, truth_tables)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -135,6 +135,35 @@ def test_is_consistent_matches_oracle(fs):
 @given(st.lists(formula_asts, max_size=3), formula_asts)
 def test_entails_matches_oracle(fs, goal):
     assert entails(fs, goal) == oc.entails(fs, goal)
+
+
+@given(st.lists(formula_asts, min_size=1, max_size=3))
+def test_truth_tables_match_oracle_on_every_row(fs):
+    """Row r gives the i-th atom of the shared sorted order the value of
+    bit i of r, so a formula's table also covers atoms it lacks."""
+    tables, rows = truth_tables(fs)
+    names = sorted(frozenset().union(*map(oc.formula_atoms, fs)))
+    assert rows == (1 << (1 << len(names))) - 1
+    for r in range(1 << len(names)):
+        row = {name: bool(r >> i & 1) for i, name in enumerate(names)}
+        for f, table in zip(fs, tables):
+            assert bool(table >> r & 1) == oc.evaluate(f, row)
+
+
+def test_deep_negation_chains_are_decided_by_parity():
+    for depth in (5000, 5001):
+        chain = a
+        for _ in range(depth):
+            chain = Not(chain)
+        even = depth % 2 == 0
+        assert atoms(chain) == {"a"}
+        assert evaluate(chain, {"a": True}) is even
+        assert is_consistent([chain])
+        assert is_consistent([chain, a]) is even
+        assert entails([chain], a) is even
+        assert entails([a], chain) is even
+        assert entails([chain], Not(a)) is not even
+        assert entails([b, Not(b)], chain)
 
 
 def test_entailment_basics():
