@@ -9,6 +9,7 @@ domain answer or resource bound, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -330,9 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: each parse returns a fresh namespace, so
+    in-process callers can run ``main`` repeatedly without rebuilding it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

@@ -34,7 +34,7 @@ class ArgumentationFramework:
     """
 
     __slots__ = ("_labels", "_index", "_pairs", "_attacker_masks",
-                 "_target_masks", "_hash")
+                 "_target_masks", "_target_indices", "_hash")
 
     def __init__(self, arguments: Sequence[str],
                  attacks: Iterable[tuple[str, str]] = ()) -> None:
@@ -63,6 +63,7 @@ class ArgumentationFramework:
         self._pairs = frozenset(pairs)
         self._attacker_masks = tuple(attacker_masks)
         self._target_masks = tuple(target_masks)
+        self._target_indices: tuple[tuple[int, ...], ...] | None = None
         self._hash = hash((labels, self._pairs))
 
     # -- basic inspection ------------------------------------------------
@@ -108,6 +109,17 @@ class ArgumentationFramework:
 
     def target_mask(self, index: int) -> int:
         return self._target_masks[index]
+
+    @property
+    def target_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Each argument's targets as a tuple of indices, built on first
+        use for the kernel's counter propagation."""
+        if self._target_indices is None:
+            targets: list[list[int]] = [[] for _ in self._labels]
+            for s, d in self._pairs:
+                targets[s].append(d)
+            self._target_indices = tuple(map(tuple, targets))
+        return self._target_indices
 
     def attackers_of(self, label: str) -> "ArgumentSet":
         return ArgumentSet(self, self._attacker_masks[self.index_of(label)])

@@ -17,8 +17,8 @@ from typing import Sequence
 from .errors import AtomBoundError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import GradeParams
-from .logic import (MAX_ATOMS, Formula, atoms, complement, complementary,
-                    format_formula, parse_formula, truth_tables)
+from .logic import (MAX_ATOMS, Formula, atoms, complement, format_formula,
+                    parse_formula, strip_double_negation, truth_tables)
 from .semantics import (JustificationMode, Semantics, _check_cap,
                         enumerate_extensions)
 
@@ -213,20 +213,30 @@ def build_defeat_graph(kb: KnowledgeBase,
                        max_args: int | None = None) -> DefeatGraph:
     """Attacks hit a premise occurrence whose complement the attacker
     claims; the attack defeats unless some attacker premise sits
-    strictly below that occurrence's stratum."""
+    strictly below that occurrence's stratum.
+
+    A claim is complementary to a premise exactly when its
+    double-negation-normalised form is the premise's complement, so
+    each premise occurrence is indexed once under its complement, with
+    its stratum, and each attacker looks up the occurrences it hits."""
     args = generate_arguments(kb, max_args)
     labels = [f"A{i + 1}" for i in range(len(args))]
+    stratum = {f: level for level, fs in enumerate(kb.strata, start=1)
+               for f in fs}
+    hit: dict[Formula, list[tuple[str, int]]] = {}
+    for label, target in zip(labels, args):
+        for beta in target.premises:
+            hit.setdefault(complement(beta), []).append(
+                (label, stratum[beta]))
     attacks: set[tuple[str, str]] = set()
     defeats: set[tuple[str, str]] = set()
-    for i, attacker in enumerate(args):
-        worst = max((kb.stratum_of(g) for g in attacker.premises), default=0)
-        for j, target in enumerate(args):
-            for beta in target.premises:
-                if not complementary(attacker.claim, beta):
-                    continue
-                attacks.add((labels[i], labels[j]))
-                if worst <= kb.stratum_of(beta):
-                    defeats.add((labels[i], labels[j]))
+    for label, attacker in zip(labels, args):
+        worst = max((stratum[g] for g in attacker.premises), default=0)
+        for target, level in hit.get(
+                strip_double_negation(attacker.claim), ()):
+            attacks.add((label, target))
+            if worst <= level:
+                defeats.add((label, target))
     framework = ArgumentationFramework(labels, sorted(defeats))
     return DefeatGraph(framework, args, frozenset(attacks))
 

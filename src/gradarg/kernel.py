@@ -7,20 +7,33 @@ counts as live when the set musters fewer than n counter-attackers
 against it. Both collapse to the classical Dung operators at threshold
 one.
 
-In-set attackers are counted in two places only. ``neutrality_mask``
-counts them for every argument: defense is computed as neutrality
-composed with itself, d_mn(X) = n_m(n_n(X)), since the n-neutral set of
-X holds exactly the attackers X fails to counter n times, and the
-unattacked arguments are the 1-neutral set of the whole framework.
-``least_tolerance`` counts them for the members of a set: a set is
-l-conflict-free exactly when its least tolerance is at most l, which is
-also the only test the subset search prunes with.
+In-set attackers of a given set are counted in two places only.
+``neutrality_mask`` counts them for every argument: defense is computed
+as neutrality composed with itself, d_mn(X) = n_m(n_n(X)), since the
+n-neutral set of X holds exactly the attackers X fails to counter n
+times, and the unattacked arguments are the 1-neutral set of the whole
+framework. ``least_tolerance`` counts them for the members of a set: a
+set is l-conflict-free exactly when its least tolerance is at most l,
+which is also the only test the subset search prunes with.
 
-Every iteration of defense in the package is one ``defense_orbit``:
-from the empty set its last stage is the least fixpoint, from the full
-set the greatest, and from any context the stages trace the orbit that
-contextual rankings collect. ``lfp_from`` and ``gfp_from`` keep the
-stage-by-stage record so callers can inspect convergence.
+Least and greatest defense fixpoints come from counter propagation, one
+column of grades at a time: ``least_fixpoints`` and ``greatest_fixpoints``
+walk m through a range at a fixed n, keeping per-argument counts of
+in-set attackers and of live attackers. For fixed n each least fixpoint
+lies inside the next one up in m, and each greatest fixpoint inside the
+next one up as well, so a whole column costs one pass over the attacks
+plus one scan of the arguments per m. These counters are a third count
+of in-set attackers, kept apart on purpose: they are updated one attack
+at a time while a single set grows or shrinks, whereas ``neutrality_mask``
+and ``least_tolerance`` count an arbitrary set afresh from bitmasks.
+Where the walk's counters already hold a count, nothing else recounts
+it: the least tolerance of each least fixpoint comes with it.
+
+``defense_orbit`` iterates the operator stage by stage. It is kept for
+what the counters cannot give: the orbit of a context that does not
+defend itself, which may cycle; the stage-by-stage records of
+``lfp_from`` and ``gfp_from``, so callers can inspect convergence; and
+the reference the tests hold the fixpoint walks to.
 """
 from __future__ import annotations
 
@@ -114,6 +127,94 @@ def least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
             worst = count
         rest ^= low
     return worst + 1
+
+
+def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
+                    start: int = 0) -> list[tuple[int, int]]:
+    """For each m of the ascending range ms, the least (m, n) defense
+    fixpoint containing start, paired with its least tolerance.
+
+    start must defend itself at grade (ms[0], n); it then defends itself
+    at every larger m, and each fixpoint lies inside the next, so one
+    walk adds arguments and never removes one. ``inside[j]`` counts the
+    attackers of j in the set and ``live[t]`` the attackers of t with
+    fewer than n of them: adding an argument raises ``inside`` on its
+    targets, a target reaching n lowers ``live`` on its own targets, and
+    an argument joins once its ``live`` is below m.
+    """
+    targets = fw.target_indices
+    size = len(fw)
+    inside = [0] * size
+    live = [fw.attacker_mask(i).bit_count() for i in range(size)]
+    member = [False] * size
+    queue = [i for i in range(size) if start >> i & 1]
+    for i in queue:
+        member[i] = True
+    x, worst = start, 0
+    out = []
+    for m in ms:
+        for t in range(size):
+            if live[t] < m and not member[t]:
+                member[t] = True
+                queue.append(t)
+        while queue:
+            i = queue.pop()
+            x |= 1 << i
+            if inside[i] > worst:
+                worst = inside[i]
+            for j in targets[i]:
+                count = inside[j] = inside[j] + 1
+                if member[j] and count > worst:
+                    worst = count
+                if count == n:
+                    for t in targets[j]:
+                        live[t] -= 1
+                        if live[t] < m and not member[t]:
+                            member[t] = True
+                            queue.append(t)
+        out.append((x, worst + 1))
+    return out
+
+
+def greatest_fixpoints(fw: ArgumentationFramework, n: int,
+                       ms: range) -> list[int]:
+    """For each m of the ascending range ms, the greatest (m, n) defense
+    fixpoint: the mirror of ``least_fixpoints``. The walk starts from the
+    full set at the top of ms and lowers m, since each greatest fixpoint
+    lies inside the one above it; it removes every member whose ``live``
+    count has reached m, and a target whose ``inside`` count falls below
+    n raises ``live`` on its own targets."""
+    targets = fw.target_indices
+    size = len(fw)
+    inside = [fw.attacker_mask(i).bit_count() for i in range(size)]
+    live = [0] * size
+    for j in range(size):
+        if inside[j] < n:
+            for t in targets[j]:
+                live[t] += 1
+    member = [True] * size
+    x = fw.full_mask
+    out = []
+    for m in reversed(ms):
+        queue = []
+        for t in range(size):
+            if live[t] >= m and member[t]:
+                member[t] = False
+                queue.append(t)
+        while queue:
+            i = queue.pop()
+            x ^= 1 << i
+            for j in targets[i]:
+                inside[j] -= 1
+                if inside[j] == n - 1:
+                    for t in targets[j]:
+                        live[t] += 1
+                        if live[t] >= m and member[t]:
+                            member[t] = False
+                            queue.append(t)
+        out.append(x)
+    out.reverse()
+    return out
 
 
 def defense_orbit(fw: ArgumentationFramework, m: int, n: int,

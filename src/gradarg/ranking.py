@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .framework import ArgumentationFramework, ArgumentSet
-from .kernel import (defense_mask, defense_orbit, least_tolerance,
-                     neutrality_mask, saturation_bound)
+from .kernel import (defense_mask, defense_orbit, greatest_fixpoints,
+                     least_fixpoints, least_tolerance, neutrality_mask,
+                     saturation_bound)
 from .semantics import Semantics, _candidates, _check_cap, _maximal
 
 
@@ -98,6 +99,22 @@ class ArgumentPartialOrder:
         return "\n".join(lines) + "\n"
 
 
+# -- signature bookkeeping -----------------------------------------------
+
+
+def _record(grades: list[set], mask: int, point: tuple[int, ...]) -> None:
+    """Add the grade point to the grade set of every member of mask."""
+    for i, bit in enumerate(reversed(f"{mask:b}")):
+        if bit == "1":
+            grades[i].add(point)
+
+
+def _signatures(fw: ArgumentationFramework, grades: list[set], bound: int,
+                kind: str) -> dict[str, JustificationSignature]:
+    return {lab: JustificationSignature(lab, frozenset(g), bound, kind)
+            for lab, g in zip(fw.labels, grades)}
+
+
 # -- contextual (defense-iteration) signatures ---------------------------
 
 
@@ -106,21 +123,32 @@ def contextual_signature(
         x: ArgumentSet | None = None) -> dict[str, JustificationSignature]:
     """Per-argument sets of (m, n) pairs at which the argument enters
     the iterated defense of the context (empty context by default): the
-    union of its defense orbit, which closes once a stage repeats."""
+    union of its defense orbit, which closes once a stage repeats.
+
+    Self-defense is monotone in m, and d_Kn is the full set, so each
+    column n splits at the least m0 at which the context defends itself
+    (1 for the empty context). Below m0 the orbit may cycle, so its
+    stages are collected one by one. From m0 on the orbit climbs to the
+    least fixpoint containing the context, and one ``least_fixpoints``
+    walk gives those for the rest of the column.
+    """
     start = 0 if x is None else x.mask
     if x is not None and x.framework != fw:
         raise ValueError("argument set belongs to a different framework")
     k = saturation_bound(fw)
-    grades: dict[str, set[tuple[int, int]]] = {lab: set() for lab in fw.labels}
-    for m in range(1, k + 1):
-        for n in range(1, k + 1):
+    grades: list[set] = [set() for _ in range(len(fw))]
+    for n in range(1, k + 1):
+        m0 = 1
+        while start and start & ~defense_mask(fw, m0, n, start):
             union = 0
-            for stage in defense_orbit(fw, m, n, start):
+            for stage in defense_orbit(fw, m0, n, start):
                 union |= stage
-            for arg in ArgumentSet(fw, union):
-                grades[arg.label].add((m, n))
-    return {lab: JustificationSignature(lab, frozenset(g), k, "contextual")
-            for lab, g in grades.items()}
+            _record(grades, union, (m0, n))
+            m0 += 1
+        column = least_fixpoints(fw, n, range(m0, k + 1), start)
+        for m, (union, _) in enumerate(column, start=m0):
+            _record(grades, union, (m, n))
+    return _signatures(fw, grades, k, "contextual")
 
 
 def contextual_rank(fw: ArgumentationFramework,
@@ -132,24 +160,18 @@ def contextual_rank(fw: ArgumentationFramework,
 
 
 def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
-                     m: int, n: int, bound: int) -> list[int]:
-    """Sceptically justified masks for l = 1..bound at one defense grade.
+                     m: int, n: int, bound: int, least: int,
+                     greatest: int) -> list[int]:
+    """Sceptically justified masks for l = 1..bound at one defense grade,
+    for preferred or stable, given the least and greatest (m, n) defense
+    fixpoints.
 
     One search collects every defense fixpoint together with the least l
     making it conflict-free; each l then filters that list without
     searching again. Every fixpoint lies between the least and the
     greatest one, and a stable one is m-conflict-free, so the search runs
     on that interval at tolerance bound, or min(bound, m) for stable.
-    Grounded short-cuts through the least fixpoint, which is the unique
-    minimal fixpoint, hence the least complete extension exactly when it
-    is conflict-free.
     """
-    full = fw.full_mask
-    *_, least = defense_orbit(fw, m, n, 0)
-    if semantics is Semantics.GROUNDED:
-        min_l = least_tolerance(fw, least)
-        return [least if l >= min_l else full for l in range(1, bound + 1)]
-    *_, greatest = defense_orbit(fw, m, n, full)
     tolerance = min(bound, m) if semantics is Semantics.STABLE else bound
     fixpoints: list[tuple[int, int]] = []
     for x in _candidates(fw, tolerance, least, greatest):
@@ -163,7 +185,7 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
         family = [x for x, min_l in fixpoints if min_l <= l]
         if semantics is Semantics.PREFERRED:
             family = _maximal(family)
-        mask = full
+        mask = fw.full_mask
         for x in family:
             mask &= x
         out.append(mask)
@@ -175,24 +197,37 @@ def absolute_signature(
         max_args: int | None = None) -> dict[str, JustificationSignature]:
     """Per-argument sets of (l, m, n) triples at which the argument is
     sceptically justified under the given semantics; an empty extension
-    family justifies everything (empty intersection)."""
+    family justifies everything (empty intersection).
+
+    The sweep runs column by column: for each n, one ``least_fixpoints``
+    walk and, unless the semantics is grounded, one
+    ``greatest_fixpoints`` walk give the defense fixpoints at every m.
+    Grounded needs nothing more. The least fixpoint is the unique minimal
+    fixpoint, hence the least complete extension exactly when it is
+    l-conflict-free, and the walk's counters already hold its least
+    tolerance. Preferred and stable search between the two fixpoints.
+    """
     if semantics not in (Semantics.GROUNDED, Semantics.PREFERRED,
                          Semantics.STABLE):
         raise ValueError(
             "absolute rankings are defined for grounded, preferred, stable")
     _check_cap(len(fw), max_args)
     k = saturation_bound(fw)
-    grades: dict[str, set[tuple[int, int, int]]] = {
-        lab: set() for lab in fw.labels}
-    for m in range(1, k + 1):
-        for n in range(1, k + 1):
-            per_l = _sceptical_per_l(fw, semantics, m, n, k)
+    ms = range(1, k + 1)
+    grades: list[set] = [set() for _ in range(len(fw))]
+    for n in ms:
+        lfps = least_fixpoints(fw, n, ms)
+        gfps = (None if semantics is Semantics.GROUNDED
+                else greatest_fixpoints(fw, n, ms))
+        for m, (least, min_l) in enumerate(lfps, start=1):
+            if gfps is None:
+                per_l = [least if l >= min_l else fw.full_mask for l in ms]
+            else:
+                per_l = _sceptical_per_l(fw, semantics, m, n, k, least,
+                                         gfps[m - 1])
             for l, mask in enumerate(per_l, start=1):
-                for arg in ArgumentSet(fw, mask):
-                    grades[arg.label].add((l, m, n))
-    kind = f"absolute:{semantics.value}"
-    return {lab: JustificationSignature(lab, frozenset(g), k, kind)
-            for lab, g in grades.items()}
+                _record(grades, mask, (l, m, n))
+    return _signatures(fw, grades, k, f"absolute:{semantics.value}")
 
 
 def absolute_rank(fw: ArgumentationFramework, semantics: Semantics,
@@ -212,14 +247,16 @@ def contextual_equals_grounded(
     ranking agree on every ordered pair; returns the first disagreeing
     pair otherwise.
 
-    The two orders are computed through unrelated code paths (orbit
-    unions over (m, n) pairs versus per-l justification sweeps over
-    triples), but they must coincide: grade points without a grounded
-    extension justify every argument alike, so only fixpoint
-    memberships can separate two arguments, and those memberships are
-    exactly what the contextual sweep records. Restricting either side
-    to part of the grade space breaks the match, because a membership
-    difference can live at a single (m, n) point.
+    Both orders read their least fixpoints from the same
+    ``least_fixpoints`` column walks, so their agreement does not check
+    that walk. The tests keep the two sides independent instead: each
+    signature is held to the brute-force sweeps of ``tests/oracles.py``,
+    and the walks to ``defense_orbit``. The orders must coincide: grade
+    points without a grounded extension justify every argument alike,
+    so only fixpoint memberships can separate two arguments, and those
+    memberships are exactly what the contextual sweep records.
+    Restricting either side to part of the grade space breaks the match,
+    because a membership difference can live at a single (m, n) point.
     """
     contextual = contextual_rank(fw)
     grounded = absolute_rank(fw, Semantics.GROUNDED, max_args=max_args)

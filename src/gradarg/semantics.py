@@ -35,8 +35,8 @@ from .errors import (ConstraintViolatedError, NoExtensionError,
 from .framework import (ArgumentationFramework, ArgumentSet,
                         DEFAULT_MAX_ARGS, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
-                     defense_orbit, least_tolerance, lfp_from,
-                     neutrality_mask)
+                     greatest_fixpoints, least_fixpoints, least_tolerance,
+                     lfp_from, neutrality_mask)
 
 MAX_ARGS_ENV = "GRADARG_MAX_ARGS"
 
@@ -210,12 +210,12 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     """
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
-    *_, least = defense_orbit(fw, m, n, 0)
+    [(least, min_l)] = least_fixpoints(fw, n, range(m, m + 1))
     if semantics is Semantics.GROUNDED:
-        if least_tolerance(fw, least) <= l:
+        if min_l <= l:
             return _family(fw, semantics, params, [least])
         return _no_grounded(fw, params, least)
-    *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
+    [greatest] = greatest_fixpoints(fw, n, range(m, m + 1))
     floor = 0 if semantics is Semantics.ADMISSIBLE else least
     tolerance = min(l, m) if semantics is Semantics.STABLE else l
     return _select(fw, semantics, params,
@@ -279,7 +279,8 @@ def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
     completes = [e.mask for e in _select(
         fw, Semantics.COMPLETE, params, subsets).extensions]
     if not completes:
-        *_, least = defense_orbit(fw, params.m, params.n, 0)
+        [(least, _)] = least_fixpoints(fw, params.n,
+                                       range(params.m, params.m + 1))
         return _no_grounded(fw, params, least)
     least = [x for x in completes if all(x & ~y == 0 for y in completes)]
     return _family(fw, semantics, params, least)

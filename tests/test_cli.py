@@ -28,6 +28,34 @@ def run_cli(argv: list[str], stdin: str | None = None):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_one_parser_serves_successive_calls_without_leaks(monkeypatch):
+    """main reuses one parser; options given in one call must not carry
+    into the next, so each call matches the same call with every default
+    spelled out."""
+    import gradarg.cli as cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    code, out, _ = run_cli(["rank", "--contextual", "", "--semantics",
+                            "stable", "--output", "json"], CHAIN_PAIR)
+    assert code == 0
+    assert json.loads(out)["params"] == {"mode": "contextual", "start": []}
+    code, out, _ = run_cli(["rank", "--absolute", "--output", "json"],
+                           CHAIN_PAIR)
+    assert code == 0
+    assert json.loads(out)["params"] == {"mode": "absolute",
+                                         "semantics": "preferred"}
+    solve = run_cli(["solve", "--semantics", "grounded", "--l", "2", "--m",
+                     "2", "--n", "1"], THREE_CYCLE)
+    assert solve == (0, "{a, b, c}\n", "")
+    absolute = run_cli(["rank", "--absolute"], CHAIN_PAIR)
+    assert not absolute[1].startswith("{")
+    assert absolute == run_cli(["rank", "--absolute", "--semantics",
+                                "preferred", "--output", "text"], CHAIN_PAIR)
+    assert len(built) <= 1
+
+
 # -- solve -----------------------------------------------------------------------
 
 

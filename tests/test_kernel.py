@@ -9,10 +9,12 @@ from gradarg.errors import NotExpandableError
 from gradarg.fixtures import (defended_two_on_one, isolated_node, mutual_pair,
                               shared_target_chain, single_chain, three_cycle,
                               two_on_one)
-from gradarg.framework import ArgumentationFramework
+from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (DefenseGrade, GradeOrdering, GradeParams,
-                            IterationStream, compare_grades, gfp_from,
-                            graded_defense, graded_neutrality, lfp_from,
+                            IterationStream, compare_grades, defense_mask,
+                            defense_orbit, gfp_from, graded_defense,
+                            graded_neutrality, greatest_fixpoints,
+                            least_fixpoints, least_tolerance, lfp_from,
                             saturation_bound, unattacked_closure)
 from gradarg.semantics import is_lmn_admissible
 
@@ -234,6 +236,45 @@ def test_saturation_bound_contract(fw):
         for n in (1, 2, k):
             assert (graded_defense(fw, k, n, x)
                     == graded_defense(fw, k + 2, n, x))
+
+
+# -- fixpoint columns against the orbit ----------------------------------------------
+
+
+@pytest.mark.parametrize("density", [0.1, 0.25, 0.5, 0.8])
+def test_fixpoint_columns_match_the_orbit(density):
+    """Each column walk against ``defense_orbit`` at every (m, n) in
+    [1, K]^2, on seeded graphs of 0-12 arguments that draw self-attacks
+    like any other pair: the least fixpoints from the empty set with
+    their least tolerance, the greatest fixpoints, single-point ranges,
+    and the least fixpoints containing a random start from the first m
+    at which it defends itself."""
+    import random
+    rng = random.Random(9100)
+    corpus = [random_framework(size, density, 9000 + 100 * copy + size)
+              for size in range(13) for copy in range(3)]
+    assert any(src == dst for fw in corpus for src, dst in fw.attacks)
+    for fw in corpus:
+        k = saturation_bound(fw)
+        ms = range(1, k + 1)
+        for n in ms:
+            lfps = least_fixpoints(fw, n, ms)
+            gfps = greatest_fixpoints(fw, n, ms)
+            for m in ms:
+                *_, least = defense_orbit(fw, m, n, 0)
+                *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
+                assert lfps[m - 1] == (least, least_tolerance(fw, least))
+                assert gfps[m - 1] == greatest
+                point = range(m, m + 1)
+                assert least_fixpoints(fw, n, point) == [lfps[m - 1]]
+                assert greatest_fixpoints(fw, n, point) == [greatest]
+            start = rng.getrandbits(len(fw)) if len(fw) else 0
+            m0 = next(m for m in ms
+                      if start & ~defense_mask(fw, m, n, start) == 0)
+            column = least_fixpoints(fw, n, range(m0, k + 1), start)
+            for m, (got, tolerance) in enumerate(column, start=m0):
+                *_, want = defense_orbit(fw, m, n, start)
+                assert (got, tolerance) == (want, least_tolerance(fw, want))
 
 
 # -- agreement with the classical operators ----------------------------------------------

@@ -76,6 +76,34 @@ def test_contextual_signature_matches_oracle():
         assert {lab: set(s.grades) for lab, s in sig_x.items()} == want_x
 
 
+def test_contextual_signature_matches_oracle_on_mixed_columns():
+    """Contexts that defend themselves at some but not all m of a column
+    n: below the least such m the signature comes from the orbit, above
+    it from the fixpoint walk, and both halves must match the oracle's
+    orbit unions. Random contexts on small seeded graphs, self-attacks
+    included; the test asserts that mixed columns occur whose walk
+    covers at least two values of m (m0 below K)."""
+    import random
+    rng = random.Random(9300)
+    corpus = list(seeded_corpus(40, sizes=(2, 7), edge_prob=0.3,
+                                seed0=9200))
+    assert any(src == dst for fw in corpus for src, dst in fw.attacks)
+    mixed = 0
+    for fw in corpus:
+        labels, attacks = labels_attacks(fw)
+        k = saturation_bound(fw)
+        for _ in range(3):
+            context = frozenset(lab for lab in labels if rng.random() < 0.5)
+            defends = [[context <= oc.graded_defense(labels, attacks, m, n,
+                                                     context)
+                        for m in range(1, k + 1)] for n in range(1, k + 1)]
+            mixed += sum(not column[0] and column[-2] for column in defends)
+            sig = contextual_signature(fw, fw.set_of(context))
+            want = oc.contextual_signature(labels, attacks, context)
+            assert {lab: set(s.grades) for lab, s in sig.items()} == want
+    assert mixed >= 50
+
+
 # -- contextual order ------------------------------------------------------------
 
 
