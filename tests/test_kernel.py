@@ -248,7 +248,8 @@ def test_fixpoint_columns_match_the_orbit(density):
     like any other pair: the least fixpoints from the empty set with
     their least tolerance, the greatest fixpoints, single-point ranges,
     and the least fixpoints containing a random start from the first m
-    at which it defends itself."""
+    at which it defends itself. Up to six arguments the least fixpoints
+    are also held to the oracle's own iteration."""
     import random
     rng = random.Random(9100)
     corpus = [random_framework(size, density, 9000 + 100 * copy + size)
@@ -265,6 +266,10 @@ def test_fixpoint_columns_match_the_orbit(density):
                 *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
                 assert lfps[m - 1] == (least, least_tolerance(fw, least))
                 assert gfps[m - 1] == greatest
+                if len(fw) <= 6:
+                    labels, attacks = labels_attacks(fw)
+                    assert set(fw.set_from_mask(least).labels) == set(
+                        oc.naive_lfp(labels, attacks, m, n))
                 point = range(m, m + 1)
                 assert least_fixpoints(fw, n, point) == [lfps[m - 1]]
                 assert greatest_fixpoints(fw, n, point) == [greatest]
