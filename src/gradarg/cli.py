@@ -51,8 +51,11 @@ def _positive(text: str) -> int:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read '{path}': {exc.strerror}") from None
 
 
 def _load_framework(args: argparse.Namespace) -> ArgumentationFramework:

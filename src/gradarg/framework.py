@@ -34,7 +34,7 @@ class ArgumentationFramework:
     """
 
     __slots__ = ("_labels", "_index", "_pairs", "_attacker_masks",
-                 "_target_masks", "_target_indices", "_hash")
+                 "_in_degrees", "_target_masks", "_target_indices", "_hash")
 
     def __init__(self, arguments: Sequence[str],
                  attacks: Iterable[tuple[str, str]] = ()) -> None:
@@ -62,6 +62,7 @@ class ArgumentationFramework:
         self._index = index
         self._pairs = frozenset(pairs)
         self._attacker_masks = tuple(attacker_masks)
+        self._in_degrees = tuple(map(int.bit_count, attacker_masks))
         self._target_masks = tuple(target_masks)
         self._target_indices: tuple[tuple[int, ...], ...] | None = None
         self._hash = hash((labels, self._pairs))
@@ -137,12 +138,17 @@ class ArgumentationFramework:
             att ^= low
         return ArgumentSet(self, mask)
 
+    @property
+    def in_degrees(self) -> tuple[int, ...]:
+        """Each argument's number of attackers, by index."""
+        return self._in_degrees
+
     def in_degree(self, label: str) -> int:
-        return self._attacker_masks[self.index_of(label)].bit_count()
+        return self._in_degrees[self.index_of(label)]
 
     @property
     def max_in_degree(self) -> int:
-        return max((m.bit_count() for m in self._attacker_masks), default=0)
+        return max(self._in_degrees, default=0)
 
     # -- set construction ------------------------------------------------
 

@@ -16,18 +16,24 @@ framework. ``least_tolerance`` counts them for the members of a set: a
 set is l-conflict-free exactly when its least tolerance is at most l,
 which is also the only test the subset search prunes with.
 
-Least and greatest defense fixpoints come from counter propagation, one
-column of grades at a time: ``least_fixpoints`` and ``greatest_fixpoints``
-walk m through a range at a fixed n, keeping per-argument counts of
-in-set attackers and of live attackers. For fixed n each least fixpoint
-lies inside the next one up in m, and each greatest fixpoint inside the
-next one up as well, so a whole column costs one pass over the attacks
-plus one scan of the arguments per m. These counters are a third count
-of in-set attackers, kept apart on purpose: they are updated one attack
-at a time while a single set grows or shrinks, whereas ``neutrality_mask``
-and ``least_tolerance`` count an arbitrary set afresh from bitmasks.
-Where the walk's counters already hold a count, nothing else recounts
-it: the least tolerance of each least fixpoint comes with it.
+Least defense fixpoints come from counter propagation, one column of
+grades at a time: ``least_fixpoints`` walks m up through a range at a
+fixed n, keeping per-argument counts of in-set attackers and of live
+attackers. For fixed n each least fixpoint lies inside the next one up
+in m, so a whole column costs one pass over the attacks plus one scan of
+the arguments per m. These counters are a third count of in-set
+attackers, kept apart on purpose: they are updated one attack at a time
+while a single set grows, whereas ``neutrality_mask`` and
+``least_tolerance`` count an arbitrary set afresh from bitmasks. Where
+the walk's counters already hold a count, nothing else recounts it: the
+least tolerance of each least fixpoint comes with it.
+
+Greatest fixpoints need no walk of their own: the greatest (m, n)
+defense fixpoint is n_m(L), the m-neutral set of the least fixpoint L
+at the swapped grade (n, m). Since d_mn = n_m(n_n(.)) and d_nm =
+n_n(n_m(.)), d_mn(n_m(L)) = n_m(d_nm(L)) = n_m(L), a fixpoint. Any
+fixpoint Y of d_mn has n_n(Y) a fixpoint of d_nm, which contains L; n_m
+is antitone, so Y = n_m(n_n(Y)) lies inside n_m(L).
 
 ``defense_orbit`` iterates the operator stage by stage. It is kept for
 what the counters cannot give: the orbit of a context that does not
@@ -145,7 +151,7 @@ def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
     targets = fw.target_indices
     size = len(fw)
     inside = [0] * size
-    live = [fw.attacker_mask(i).bit_count() for i in range(size)]
+    live = list(fw.in_degrees)
     member = [False] * size
     queue = [i for i in range(size) if start >> i & 1]
     for i in queue:
@@ -173,47 +179,6 @@ def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
                             member[t] = True
                             queue.append(t)
         out.append((x, worst + 1))
-    return out
-
-
-def greatest_fixpoints(fw: ArgumentationFramework, n: int,
-                       ms: range) -> list[int]:
-    """For each m of the ascending range ms, the greatest (m, n) defense
-    fixpoint: the mirror of ``least_fixpoints``. The walk starts from the
-    full set at the top of ms and lowers m, since each greatest fixpoint
-    lies inside the one above it; it removes every member whose ``live``
-    count has reached m, and a target whose ``inside`` count falls below
-    n raises ``live`` on its own targets."""
-    targets = fw.target_indices
-    size = len(fw)
-    inside = [fw.attacker_mask(i).bit_count() for i in range(size)]
-    live = [0] * size
-    for j in range(size):
-        if inside[j] < n:
-            for t in targets[j]:
-                live[t] += 1
-    member = [True] * size
-    x = fw.full_mask
-    out = []
-    for m in reversed(ms):
-        queue = []
-        for t in range(size):
-            if live[t] >= m and member[t]:
-                member[t] = False
-                queue.append(t)
-        while queue:
-            i = queue.pop()
-            x ^= 1 << i
-            for j in targets[i]:
-                inside[j] -= 1
-                if inside[j] == n - 1:
-                    for t in targets[j]:
-                        live[t] += 1
-                        if live[t] >= m and member[t]:
-                            member[t] = False
-                            queue.append(t)
-        out.append(x)
-    out.reverse()
     return out
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .framework import ArgumentationFramework, ArgumentSet
-from .kernel import (defense_mask, defense_orbit, greatest_fixpoints,
-                     least_fixpoints, least_tolerance, neutrality_mask,
-                     saturation_bound)
+from .kernel import (defense_mask, defense_orbit, least_fixpoints,
+                     least_tolerance, neutrality_mask, saturation_bound)
 from .semantics import Semantics, _candidates, _check_cap, _maximal
 
 
@@ -164,7 +163,8 @@ def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
                      greatest: int) -> list[int]:
     """Sceptically justified masks for l = 1..bound at one defense grade,
     for preferred or stable, given the least and greatest (m, n) defense
-    fixpoints.
+    fixpoints (the caller derives the greatest from the least fixpoint at
+    the swapped grade).
 
     One search collects every defense fixpoint together with the least l
     making it conflict-free; each l then filters that list without
@@ -199,13 +199,14 @@ def absolute_signature(
     sceptically justified under the given semantics; an empty extension
     family justifies everything (empty intersection).
 
-    The sweep runs column by column: for each n, one ``least_fixpoints``
-    walk and, unless the semantics is grounded, one
-    ``greatest_fixpoints`` walk give the defense fixpoints at every m.
-    Grounded needs nothing more. The least fixpoint is the unique minimal
-    fixpoint, hence the least complete extension exactly when it is
-    l-conflict-free, and the walk's counters already hold its least
-    tolerance. Preferred and stable search between the two fixpoints.
+    One ``least_fixpoints`` walk per column n gives the least defense
+    fixpoint at every (m, n). Grounded needs nothing more: the least
+    fixpoint is the unique minimal fixpoint, hence the least complete
+    extension exactly when it is l-conflict-free, and the walk's counters
+    already hold its least tolerance. Preferred and stable search
+    between the least fixpoint and the greatest, which is the m-neutral
+    set of the least fixpoint at the swapped grade (n, m), read from the
+    column at m.
     """
     if semantics not in (Semantics.GROUNDED, Semantics.PREFERRED,
                          Semantics.STABLE):
@@ -215,16 +216,15 @@ def absolute_signature(
     k = saturation_bound(fw)
     ms = range(1, k + 1)
     grades: list[set] = [set() for _ in range(len(fw))]
+    lfps = [least_fixpoints(fw, n, ms) for n in ms]
     for n in ms:
-        lfps = least_fixpoints(fw, n, ms)
-        gfps = (None if semantics is Semantics.GROUNDED
-                else greatest_fixpoints(fw, n, ms))
-        for m, (least, min_l) in enumerate(lfps, start=1):
-            if gfps is None:
+        for m, (least, min_l) in enumerate(lfps[n - 1], start=1):
+            if semantics is Semantics.GROUNDED:
                 per_l = [least if l >= min_l else fw.full_mask for l in ms]
             else:
+                greatest = neutrality_mask(fw, m, lfps[m - 1][n - 1][0])
                 per_l = _sceptical_per_l(fw, semantics, m, n, k, least,
-                                         gfps[m - 1])
+                                         greatest)
             for l, mask in enumerate(per_l, start=1):
                 _record(grades, mask, (l, m, n))
     return _signatures(fw, grades, k, f"absolute:{semantics.value}")

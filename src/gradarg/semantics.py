@@ -35,8 +35,8 @@ from .errors import (ConstraintViolatedError, NoExtensionError,
 from .framework import (ArgumentationFramework, ArgumentSet,
                         DEFAULT_MAX_ARGS, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
-                     greatest_fixpoints, least_fixpoints, least_tolerance,
-                     lfp_from, neutrality_mask)
+                     least_fixpoints, least_tolerance, lfp_from,
+                     neutrality_mask)
 
 MAX_ARGS_ENV = "GRADARG_MAX_ARGS"
 
@@ -199,14 +199,16 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     Valid at every parameter triple; exponential in the argument count
     in the worst case, hence the cap. Candidates come from ``_candidates``:
     l-conflict-free sets inside the greatest defense fixpoint, containing
-    the least one for complete, preferred and stable. A stable extension
-    is its own m-neutral set, hence m-conflict-free, so stable searches at
-    tolerance min(l, m). Grounded needs no search: every fixpoint contains
-    the least one, so it is the least complete extension when it is
-    l-conflict-free and no complete extension exists otherwise. Every
-    candidate is checked against the predicate itself, so the answers are
-    those of the full subset scan ``_scan_extensions``. Extensions come
-    out sorted by (size, bitmask).
+    the least one for complete, preferred and stable. Both bounds come
+    from one-point ``least_fixpoints`` walks, since the greatest (m, n)
+    fixpoint is the m-neutral set of the least (n, m) one. A stable
+    extension is its own m-neutral set, hence m-conflict-free, so stable
+    searches at tolerance min(l, m). Grounded needs no search: every
+    fixpoint contains the least one, so it is the least complete
+    extension when it is l-conflict-free and no complete extension exists
+    otherwise. Every candidate is checked against the predicate itself,
+    so the answers are those of the full subset scan ``_scan_extensions``.
+    Extensions come out sorted by (size, bitmask).
     """
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
@@ -215,7 +217,8 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
         if min_l <= l:
             return _family(fw, semantics, params, [least])
         return _no_grounded(fw, params, least)
-    [greatest] = greatest_fixpoints(fw, n, range(m, m + 1))
+    [(swapped, _)] = least_fixpoints(fw, m, range(n, n + 1))
+    greatest = neutrality_mask(fw, m, swapped)
     floor = 0 if semantics is Semantics.ADMISSIBLE else least
     tolerance = min(l, m) if semantics is Semantics.STABLE else l
     return _select(fw, semantics, params,

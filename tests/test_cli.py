@@ -117,6 +117,21 @@ def test_solve_rejects_malformed_input():
     assert err.startswith("error: line 3: ")
 
 
+def test_unreadable_input_paths_are_usage_errors(tmp_path):
+    missing = tmp_path / "missing.tgf"
+    code, out, err = run_cli(
+        ["solve", "--input", str(missing), "--semantics", "grounded",
+         "--l", "1", "--m", "1", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read '{missing}': "
+                   "No such file or directory\n")
+    code, out, err = run_cli(
+        ["instantiate", "--kb", str(tmp_path), "--emit", "check"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read '{tmp_path}': ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_solve_rejects_non_positive_grades():
     with pytest.raises(SystemExit) as info:
         main(["solve", "--semantics", "grounded", "--l", "0", "--m", "1",

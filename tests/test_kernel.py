@@ -13,8 +13,8 @@ from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (DefenseGrade, GradeOrdering, GradeParams,
                             IterationStream, compare_grades, defense_mask,
                             defense_orbit, gfp_from, graded_defense,
-                            graded_neutrality, greatest_fixpoints,
-                            least_fixpoints, least_tolerance, lfp_from,
+                            graded_neutrality, least_fixpoints,
+                            least_tolerance, lfp_from, neutrality_mask,
                             saturation_bound, unattacked_closure)
 from gradarg.semantics import is_lmn_admissible
 
@@ -246,10 +246,12 @@ def test_fixpoint_columns_match_the_orbit(density):
     """Each column walk against ``defense_orbit`` at every (m, n) in
     [1, K]^2, on seeded graphs of 0-12 arguments that draw self-attacks
     like any other pair: the least fixpoints from the empty set with
-    their least tolerance, the greatest fixpoints, single-point ranges,
+    their least tolerance, single-point ranges, the greatest fixpoint as
+    the m-neutral set of the least fixpoint at the swapped grade (n, m),
     and the least fixpoints containing a random start from the first m
     at which it defends itself. Up to six arguments the least fixpoints
-    are also held to the oracle's own iteration."""
+    are also held to the oracle's own iteration, and the greatest to the
+    union of every set inside its own defense (Knaster-Tarski)."""
     import random
     rng = random.Random(9100)
     corpus = [random_framework(size, density, 9000 + 100 * copy + size)
@@ -258,21 +260,26 @@ def test_fixpoint_columns_match_the_orbit(density):
     for fw in corpus:
         k = saturation_bound(fw)
         ms = range(1, k + 1)
+        columns = [least_fixpoints(fw, n, ms) for n in ms]
+        labels, attacks = labels_attacks(fw)
+        small = len(fw) <= 6
         for n in ms:
-            lfps = least_fixpoints(fw, n, ms)
-            gfps = greatest_fixpoints(fw, n, ms)
+            lfps = columns[n - 1]
             for m in ms:
                 *_, least = defense_orbit(fw, m, n, 0)
                 *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
                 assert lfps[m - 1] == (least, least_tolerance(fw, least))
-                assert gfps[m - 1] == greatest
-                if len(fw) <= 6:
-                    labels, attacks = labels_attacks(fw)
+                swapped, _ = columns[m - 1][n - 1]
+                assert neutrality_mask(fw, m, swapped) == greatest
+                if small:
                     assert set(fw.set_from_mask(least).labels) == set(
                         oc.naive_lfp(labels, attacks, m, n))
+                    post = set().union(*(
+                        xs for xs in oc.powerset(labels)
+                        if xs <= oc.graded_defense(labels, attacks, m, n, xs)))
+                    assert set(fw.set_from_mask(greatest).labels) == post
                 point = range(m, m + 1)
                 assert least_fixpoints(fw, n, point) == [lfps[m - 1]]
-                assert greatest_fixpoints(fw, n, point) == [greatest]
             start = rng.getrandbits(len(fw)) if len(fw) else 0
             m0 = next(m for m in ms
                       if start & ~defense_mask(fw, m, n, start) == 0)
