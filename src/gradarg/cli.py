@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import (AtomBoundError, ConstraintViolatedError,
                      FormulaParseError, FrameworkParseError,
@@ -38,14 +38,19 @@ _USAGE_ERRORS = (FrameworkParseError, KnowledgeBaseError, FormulaParseError,
                  ValueError)
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be >= {low}")
+        return value
+
+    return parse
 
 
 def _read_input(path: str) -> str:
@@ -78,7 +83,7 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
                      help="framework file, or - for stdin (default)")
     sub.add_argument("--format", choices=("auto", "tgf", "apx"),
                      default="auto")
-    sub.add_argument("--max-args", type=_positive, default=None,
+    sub.add_argument("--max-args", type=_at_least(1), default=None,
                      help="override the enumeration cap")
 
 
@@ -285,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(solve)
     solve.add_argument("--semantics", required=True,
                        choices=[s.value for s in Semantics])
-    solve.add_argument("--l", type=_positive, required=True)
-    solve.add_argument("--m", type=_positive, required=True)
-    solve.add_argument("--n", type=_positive, required=True)
+    solve.add_argument("--l", type=_at_least(1), required=True)
+    solve.add_argument("--m", type=_at_least(1), required=True)
+    solve.add_argument("--n", type=_at_least(1), required=True)
     solve.add_argument("--output", choices=("text", "json"), default="text")
     solve.set_defaults(func=_cmd_solve)
 
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     postulates = subparsers.add_parser(
         "postulates", help="run the postulate battery")
-    postulates.add_argument("--corpus", type=int, default=10,
+    postulates.add_argument("--corpus", type=_at_least(0), default=10,
                             help="random frameworks to sweep (0 disables)")
     postulates.add_argument("--seed", type=int, default=0)
     postulates.add_argument("--output", choices=("text", "json"),
@@ -324,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     instantiate.add_argument("--goal", default=None)
     instantiate.add_argument("--mode", choices=("sceptical", "credulous"),
                              default="sceptical")
-    instantiate.add_argument("--l", type=_positive, default=1)
-    instantiate.add_argument("--m", type=_positive, default=1)
-    instantiate.add_argument("--n", type=_positive, default=1)
+    instantiate.add_argument("--l", type=_at_least(1), default=1)
+    instantiate.add_argument("--m", type=_at_least(1), default=1)
+    instantiate.add_argument("--n", type=_at_least(1), default=1)
     instantiate.add_argument("--output", choices=("text", "json"),
                              default="text")
-    instantiate.add_argument("--max-args", type=_positive, default=None)
+    instantiate.add_argument("--max-args", type=_at_least(1), default=None)
     instantiate.set_defaults(func=_cmd_instantiate)
     return parser
 

@@ -6,17 +6,20 @@ class GradargError(Exception):
     """Base class for all library-specific errors."""
 
 
-class FrameworkParseError(GradargError):
-    """A TGF or APX document could not be parsed.
-
-    Carries the 1-based line number of the offending input line when known.
-    """
+class _LineError(GradargError):
+    """An error in a line-oriented document; carries the 1-based line
+    number of the offending input line when known, and prefixes the
+    message with it."""
 
     def __init__(self, message: str, line: int | None = None) -> None:
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class FrameworkParseError(_LineError):
+    """A TGF or APX document could not be parsed."""
 
 
 class TooLargeError(GradargError):
@@ -51,14 +54,8 @@ class NoExtensionError(GradargError):
         super().__init__(message)
 
 
-class KnowledgeBaseError(GradargError):
+class KnowledgeBaseError(_LineError):
     """A stratified knowledge-base document is malformed."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class FormulaParseError(GradargError):

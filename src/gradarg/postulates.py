@@ -1,20 +1,25 @@
 """Executable checks for properties of the graded argument rankings.
 
-Each checker scans a framework for pairs that trigger a postulate's
-premise, verifies the required relation with absolute_rank, and
-returns a verdict. Violated verdicts carry the offending pair and the
+Most checkers are one call to _first_failure: it ranks the framework
+with absolute_rank under each semantics in turn, tests the postulate's
+required relation on the checker's pairs in order, and builds the
+verdict. Violated verdicts carry the first failing pair and the
 relation actually observed so the claim can be re-verified from the
-witness alone. check_named_counterexamples runs the whole battery on
-fixed graphs with known outcomes; corpus_checks sweeps random graphs
-for the properties that are expected to hold universally.
+witness alone. check_abstraction and check_independence keep their own
+loops: each compares two rankings (of a renamed copy, or of a connected
+component) rather than testing one.
+
+check_named_counterexamples runs the whole battery on fixed graphs with
+known outcomes; corpus_checks sweeps random graphs for the properties
+that are expected to hold universally.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from itertools import permutations, product
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
@@ -67,11 +72,37 @@ def _violated(name: str, semantics: Semantics,
     return PostulateVerdict(name, (semantics,), CheckResult.VIOLATED, witness)
 
 
-def _pairs(labels: Sequence[str]) -> Iterable[tuple[str, str]]:
-    for x in labels:
-        for y in labels:
-            if x != y:
-                yield x, y
+def _pairs(labels: Sequence[str]) -> list[tuple[str, str]]:
+    return [(x, y) for x in labels for y in labels if x != y]
+
+
+def _first_failure(name: str, framework: ArgumentationFramework,
+                   semantics: Sequence[Semantics],
+                   pairs: Sequence[tuple[str, str]],
+                   required: Callable[[ArgumentPartialOrder, str, str], bool],
+                   detail: str) -> PostulateVerdict:
+    """Rank the framework under each semantics in turn and test
+    required(order, x, y) on each pair in order. The first failing pair
+    becomes the witness, its detail the template filled with x, y, sem
+    and rel; labels enter only as format arguments, never as template
+    text, since they may contain braces."""
+    for sem in semantics:
+        order = absolute_rank(framework, sem)
+        for x, y in pairs:
+            if not required(order, x, y):
+                rel = order.compare(x, y)
+                return _violated(name, sem, framework, (x, y), rel,
+                                 detail.format(x=x, y=y, sem=sem.value,
+                                               rel=rel.name))
+    return _holds(name, semantics)
+
+
+def _x_above(order: ArgumentPartialOrder, x: str, y: str) -> bool:
+    return order.strictly_above(x, y)
+
+
+def _y_above(order: ArgumentPartialOrder, x: str, y: str) -> bool:
+    return order.strictly_above(y, x)
 
 
 def check_abstraction(framework: ArgumentationFramework,
@@ -106,6 +137,13 @@ def _constrained(signatures: dict[str, JustificationSignature],
             for label, sig in signatures.items()}
 
 
+def _ranks(signatures: dict[str, frozenset[tuple[int, ...]]], x: str, y: str,
+           strict: bool) -> bool:
+    """x is at least as good as y, or strictly better when strict."""
+    return (signatures[y] <= signatures[x]
+            and not (strict and signatures[x] <= signatures[y]))
+
+
 def check_independence(framework: ArgumentationFramework,
                        strict: bool = False,
                        semantics: Sequence[Semantics] = RANKED_SEMANTICS,
@@ -121,15 +159,8 @@ def check_independence(framework: ArgumentationFramework,
         for component in components:
             part = _constrained(absolute_signature(component, sem))
             for x, y in _pairs(component.labels):
-                part_at_least = part[y] <= part[x]
-                if strict:
-                    premise = part_at_least and not (part[x] <= part[y])
-                    satisfied = (whole[y] <= whole[x]
-                                 and not (whole[x] <= whole[y]))
-                else:
-                    premise = part_at_least
-                    satisfied = whole[y] <= whole[x]
-                if premise and not satisfied:
+                if (_ranks(part, x, y, strict)
+                        and not _ranks(whole, x, y, strict)):
                     form = "strictly above" if strict else "at least"
                     observed = ArgumentPartialOrder(
                         framework, signatures,
@@ -156,35 +187,21 @@ def check_void_precedence(framework: ArgumentationFramework,
     sems = ((Semantics.GROUNDED, Semantics.PREFERRED)
             if semantics is None else (semantics,))
     core = unattacked_closure(framework)
-    unattacked, attacked = core.labels, core.complement().labels
-    for sem in sems:
-        order = absolute_rank(framework, sem)
-        for x in unattacked:
-            for y in attacked:
-                if not order.strictly_above(x, y):
-                    return _violated(
-                        "void precedence", sem, framework, (x, y),
-                        order.compare(x, y),
-                        f"unattacked {x} is not strictly above {y} "
-                        f"under {sem.value}")
-    return _holds("void precedence", sems)
+    pairs = list(product(core.labels, core.complement().labels))
+    return _first_failure(
+        "void precedence", framework, sems, pairs, _x_above,
+        "unattacked {x} is not strictly above {y} under {sem}")
 
 
 def check_unattacked_equivalence(framework: ArgumentationFramework,
                                  semantics: Sequence[Semantics] = RANKED_SEMANTICS,
                                  ) -> PostulateVerdict:
     """All unattacked arguments share one equivalence class."""
-    unattacked = unattacked_closure(framework).labels
-    for sem in semantics:
-        order = absolute_rank(framework, sem)
-        for x, y in _pairs(unattacked):
-            rel = order.compare(x, y)
-            if rel is not Relation.EQUIVALENT:
-                return _violated(
-                    "unattacked equivalence", sem, framework, (x, y), rel,
-                    f"unattacked {x} and {y} are {rel.name} "
-                    f"under {sem.value}")
-    return _holds("unattacked equivalence", semantics)
+    return _first_failure(
+        "unattacked equivalence", framework, semantics,
+        _pairs(unattacked_closure(framework).labels),
+        lambda order, x, y: order.compare(x, y) is Relation.EQUIVALENT,
+        "unattacked {x} and {y} are {rel} under {sem}")
 
 
 def check_self_contradiction(framework: ArgumentationFramework,
@@ -195,31 +212,28 @@ def check_self_contradiction(framework: ArgumentationFramework,
     selfers = [lab for i, lab in enumerate(framework.labels)
                if framework.attacker_mask(i) >> i & 1]
     others = [lab for lab in framework.labels if lab not in selfers]
-    order = absolute_rank(framework, semantics)
-    for s in selfers:
-        for y in others:
-            if not order.strictly_above(y, s):
-                return _violated(
-                    "self contradiction", semantics, framework, (s, y),
-                    order.compare(s, y),
-                    f"{y} is not strictly above the self-attacker {s}")
-    return _holds("self contradiction", (semantics,))
+    return _first_failure(
+        "self contradiction", framework, (semantics,),
+        list(product(selfers, others)), _y_above,
+        "{y} is not strictly above the self-attacker {x}")
 
 
 def check_cardinality_precedence(framework: ArgumentationFramework,
                                  semantics: Semantics = Semantics.GROUNDED,
                                  ) -> PostulateVerdict:
     """Fewer attackers must mean a strictly better rank."""
-    order = absolute_rank(framework, semantics)
-    for x, y in _pairs(framework.labels):
-        if framework.in_degree(x) < framework.in_degree(y):
-            if not order.strictly_above(x, y):
-                return _violated(
-                    "cardinality precedence", semantics, framework, (x, y),
-                    order.compare(x, y),
-                    f"{x} has fewer attackers than {y} but is not "
-                    f"strictly above it")
-    return _holds("cardinality precedence", (semantics,))
+    degree = framework.in_degree
+    return _first_failure(
+        "cardinality precedence", framework, (semantics,),
+        [(x, y) for x, y in _pairs(framework.labels) if degree(x) < degree(y)],
+        _x_above,
+        "{x} has fewer attackers than {y} but is not strictly above it")
+
+
+def _attacker_labels(framework: ArgumentationFramework,
+                     ) -> dict[str, list[str]]:
+    return {lab: sorted(a.label for a in framework.attackers_of(lab))
+            for lab in framework.labels}
 
 
 def check_quality_precedence(framework: ArgumentationFramework,
@@ -227,19 +241,18 @@ def check_quality_precedence(framework: ArgumentationFramework,
                              ) -> PostulateVerdict:
     """If some attacker of y is strictly above every attacker of x,
     then x must be strictly above y."""
-    order = absolute_rank(framework, semantics)
-    attackers = {lab: sorted(a.label for a in framework.attackers_of(lab))
-                 for lab in framework.labels}
-    for x, y in _pairs(framework.labels):
-        premise = any(all(order.strictly_above(q, p) for p in attackers[x])
-                      for q in attackers[y])
-        if premise and not order.strictly_above(x, y):
-            return _violated(
-                "quality precedence", semantics, framework, (x, y),
-                order.compare(x, y),
-                f"an attacker of {y} beats every attacker of {x}, "
-                f"yet {x} is not strictly above {y}")
-    return _holds("quality precedence", (semantics,))
+    attackers = _attacker_labels(framework)
+
+    def required(order: ArgumentPartialOrder, x: str, y: str) -> bool:
+        return order.strictly_above(x, y) or not any(
+            all(order.strictly_above(q, p) for p in attackers[x])
+            for q in attackers[y])
+
+    return _first_failure(
+        "quality precedence", framework, (semantics,),
+        _pairs(framework.labels), required,
+        "an attacker of {y} beats every attacker of {x}, "
+        "yet {x} is not strictly above {y}")
 
 
 def check_defense_precedence(framework: ArgumentationFramework,
@@ -247,18 +260,14 @@ def check_defense_precedence(framework: ArgumentationFramework,
                              ) -> PostulateVerdict:
     """Equal attack counts: a defended argument must beat an
     undefended one."""
-    order = absolute_rank(framework, semantics)
-    for x, y in _pairs(framework.labels):
-        if (framework.in_degree(x) == framework.in_degree(y) >= 1
-                and framework.defenders_of(x)
-                and not framework.defenders_of(y)):
-            if not order.strictly_above(x, y):
-                return _violated(
-                    "defense precedence", semantics, framework, (x, y),
-                    order.compare(x, y),
-                    f"{x} is defended and {y} is not, with equal attack "
-                    f"counts, yet {x} is not strictly above {y}")
-    return _holds("defense precedence", (semantics,))
+    degree, defenders = framework.in_degree, framework.defenders_of
+    pairs = [(x, y) for x, y in _pairs(framework.labels)
+             if degree(x) == degree(y) >= 1
+             and defenders(x) and not defenders(y)]
+    return _first_failure(
+        "defense precedence", framework, (semantics,), pairs, _x_above,
+        "{x} is defended and {y} is not, with equal attack counts, "
+        "yet {x} is not strictly above {y}")
 
 
 def check_counter_transitivity(framework: ArgumentationFramework,
@@ -267,34 +276,25 @@ def check_counter_transitivity(framework: ArgumentationFramework,
     """If y's attackers pairwise dominate x's attackers (injectively),
     x must be at least as good as y; strictly, in the strict form, when
     the domination is strict in count or in some matched pair."""
-    name = "strict counter-transitivity" if strict else "counter-transitivity"
-    order = absolute_rank(framework, semantics)
-    attackers = {lab: sorted(a.label for a in framework.attackers_of(lab))
-                 for lab in framework.labels}
-    for x, y in _pairs(framework.labels):
+    attackers = _attacker_labels(framework)
+
+    def required(order: ArgumentPartialOrder, x: str, y: str) -> bool:
+        if order.strictly_above(x, y) if strict else order.at_least(x, y):
+            return True
         ax, ay = attackers[x], attackers[y]
-        if len(ay) < len(ax):
-            continue
-        premise = False
-        for image in permutations(ay, len(ax)):
-            if not all(order.at_least(q, p) for p, q in zip(ax, image)):
-                continue
-            if not strict:
-                premise = True
-                break
-            if (len(ay) > len(ax)
-                    or any(order.strictly_above(q, p)
-                           for p, q in zip(ax, image))):
-                premise = True
-                break
-        satisfied = (order.strictly_above(x, y) if strict
-                     else order.at_least(x, y))
-        if premise and not satisfied:
-            return _violated(
-                name, semantics, framework, (x, y), order.compare(x, y),
-                f"attackers of {y} dominate those of {x}, yet {x} is "
-                f"not ranked accordingly")
-    return _holds(name, (semantics,))
+        # permutations yields nothing when y has fewer attackers than x
+        return not any(
+            all(order.at_least(q, p) for p, q in zip(ax, image))
+            and (not strict or len(ay) > len(ax)
+                 or any(order.strictly_above(q, p)
+                        for p, q in zip(ax, image)))
+            for image in permutations(ay, len(ax)))
+
+    return _first_failure(
+        "strict counter-transitivity" if strict else "counter-transitivity",
+        framework, (semantics,), _pairs(framework.labels), required,
+        "attackers of {y} dominate those of {x}, yet {x} is not ranked "
+        "accordingly")
 
 
 def _fresh_prefix(taken: Iterable[str]) -> str:
@@ -327,36 +327,25 @@ def check_attack_path_addition(framework: ArgumentationFramework,
     """Grafting a fresh attack path of odd length onto an argument
     should strictly degrade it (even length: strictly improve it). The
     original and modified copies are ranked inside one disjoint union."""
-    name = ("attack path addition" if length % 2 else
-            "defense path addition")
-    combined = _side_by_side(framework, _with_path(framework, target, length))
-    order = absolute_rank(combined, semantics)
-    changed = target + "_b"
-    better, worse = ((target, changed) if length % 2 else (changed, target))
-    if order.strictly_above(better, worse):
-        return _holds(name, (semantics,))
-    return _violated(
-        name, semantics, combined, (target, changed),
-        order.compare(target, changed),
-        f"adding a length-{length} path to {target} does not strictly "
-        f"{'degrade' if length % 2 else 'improve'} it under {semantics.value}")
+    odd = length % 2
+    return _first_failure(
+        "attack path addition" if odd else "defense path addition",
+        _side_by_side(framework, _with_path(framework, target, length)),
+        (semantics,), [(target, target + "_b")], _x_above if odd else _y_above,
+        f"adding a length-{length} path to {{x}} does not strictly "
+        f"{'degrade' if odd else 'improve'} it under {{sem}}")
 
 
 def _path_increase(length: int, semantics: Semantics,
                    name: str) -> PostulateVerdict:
-    short = fixtures.attack_chain(length)
-    long = fixtures.attack_chain(length + 2)
-    combined = _side_by_side(short, long)
-    order = absolute_rank(combined, semantics)
     # odd = attack path: lengthening should help; even = defense path:
     # lengthening should hurt
-    better, worse = (("y_b", "y") if length % 2 else ("y", "y_b"))
-    if order.strictly_above(better, worse):
-        return _holds(name, (semantics,))
-    return _violated(
-        name, semantics, combined, ("y", "y_b"), order.compare("y", "y_b"),
+    return _first_failure(
+        name, _side_by_side(fixtures.attack_chain(length),
+                            fixtures.attack_chain(length + 2)),
+        (semantics,), [("y", "y_b")], _y_above if length % 2 else _x_above,
         f"growing the path from {length} to {length + 2} leaves the "
-        f"targets {order.compare('y', 'y_b').name} under {semantics.value}")
+        "targets {rel} under {sem}")
 
 
 def check_attack_path_increase(length: int = 1,
@@ -436,11 +425,10 @@ def corpus_checks(count: int = 30, seed: int = 0,
     hold on every framework. One verdict per property; the first
     violating framework, if any, becomes the witness."""
     lo, hi = sizes
-    found: dict[str, PostulateVerdict] = {}
+    found: dict[tuple[str, tuple[Semantics, ...]], PostulateVerdict] = {}
 
     def record(verdict: PostulateVerdict) -> None:
-        key = verdict.postulate + "/" + ",".join(
-            s.value for s in verdict.semantics)
+        key = verdict.postulate, verdict.semantics
         current = found.get(key)
         if current is None or (current.result is CheckResult.HOLDS
                                and verdict.result is CheckResult.VIOLATED):

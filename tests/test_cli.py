@@ -239,6 +239,15 @@ def test_postulates_corpus_is_deterministic():
     assert "random corpus (8 frameworks, seed 31):" in first[1]
 
 
+def test_postulates_rejects_a_negative_corpus(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["postulates", "--corpus", "-3"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --corpus: value must be >= 0\n")
+
+
 def test_postulates_json_witnesses_are_complete():
     code, out, _ = run_cli(
         ["postulates", "--corpus", "0", "--output", "json"])

@@ -46,8 +46,9 @@ def test_tgf_missing_separator():
 
 
 def test_tgf_duplicate_node():
-    with pytest.raises(FrameworkParseError, match="line 2: duplicate"):
+    with pytest.raises(FrameworkParseError, match="line 2: duplicate") as info:
         parse_tgf("a\na\n#\n")
+    assert info.value.line == 2
 
 
 def test_tgf_short_edge_line():

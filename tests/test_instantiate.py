@@ -42,8 +42,10 @@ def test_parse_kb_orders_strata_by_index():
 
 
 def test_parse_kb_error_lines():
-    with pytest.raises(KnowledgeBaseError, match="line 2: expected 'k: "):
+    with pytest.raises(KnowledgeBaseError,
+                       match="^line 2: expected 'k: ") as info:
         parse_kb("1: a\nb & c\n")
+    assert info.value.line == 2
     with pytest.raises(KnowledgeBaseError, match="line 1: stratum index"):
         parse_kb("0: a\n")
     with pytest.raises(KnowledgeBaseError, match=r"line 2: column 4"):

@@ -1,7 +1,8 @@
 import pytest
 
 from gradarg import fixtures
-from gradarg.framework import ArgumentationFramework, disjoint_union
+from gradarg.framework import (ArgumentationFramework, disjoint_union,
+                               random_framework)
 from gradarg.postulates import (CheckResult, EXPECTED_BATTERY,
                                 check_abstraction, check_attack_path_addition,
                                 check_attack_path_increase,
@@ -20,16 +21,43 @@ from gradarg.ranking import Relation, absolute_rank
 from gradarg.semantics import Semantics
 
 BATTERY_WITNESSES = {
-    "strict independence": (("b", "c"), Relation.EQUIVALENT),
-    "void precedence": (("b", "a"), Relation.EQUIVALENT),
-    "self contradiction": (("a", "b"), Relation.ABOVE),
-    "cardinality precedence": (("a3", "a4"), Relation.INCOMPARABLE),
-    "quality precedence": (("a", "b"), Relation.INCOMPARABLE),
-    "defense precedence": (("x", "r"), Relation.EQUIVALENT),
-    "strict counter-transitivity": (("x", "r"), Relation.EQUIVALENT),
-    "attack path addition": (("x", "x_b"), Relation.EQUIVALENT),
-    "attack path increase": (("y", "y_b"), Relation.EQUIVALENT),
-    "defense path increase": (("y", "y_b"), Relation.EQUIVALENT),
+    "strict independence": (
+        ("b", "c"), Relation.EQUIVALENT,
+        "b is strictly above c in its component but not in the whole "
+        "framework under stable"),
+    "void precedence": (
+        ("b", "a"), Relation.EQUIVALENT,
+        "unattacked b is not strictly above a under stable"),
+    "self contradiction": (
+        ("a", "b"), Relation.ABOVE,
+        "b is not strictly above the self-attacker a"),
+    "cardinality precedence": (
+        ("a3", "a4"), Relation.INCOMPARABLE,
+        "a3 has fewer attackers than a4 but is not strictly above it"),
+    "quality precedence": (
+        ("a", "b"), Relation.INCOMPARABLE,
+        "an attacker of b beats every attacker of a, yet a is not strictly "
+        "above b"),
+    "defense precedence": (
+        ("x", "r"), Relation.EQUIVALENT,
+        "x is defended and r is not, with equal attack counts, yet x is not "
+        "strictly above r"),
+    "strict counter-transitivity": (
+        ("x", "r"), Relation.EQUIVALENT,
+        "attackers of r dominate those of x, yet x is not ranked "
+        "accordingly"),
+    "attack path addition": (
+        ("x", "x_b"), Relation.EQUIVALENT,
+        "adding a length-1 path to x does not strictly degrade it under "
+        "stable"),
+    "attack path increase": (
+        ("y", "y_b"), Relation.EQUIVALENT,
+        "growing the path from 1 to 3 leaves the targets EQUIVALENT under "
+        "grounded"),
+    "defense path increase": (
+        ("y", "y_b"), Relation.EQUIVALENT,
+        "growing the path from 2 to 4 leaves the targets EQUIVALENT under "
+        "grounded"),
 }
 
 
@@ -51,20 +79,46 @@ def test_battery_witness_pairs_are_pinned():
         if verdict.result is CheckResult.HOLDS:
             assert verdict.witness is None
             continue
-        pair, relation = BATTERY_WITNESSES[verdict.postulate]
+        pair, relation, detail = BATTERY_WITNESSES[verdict.postulate]
         assert verdict.witness.pair == pair
         assert verdict.witness.relation is relation
+        assert verdict.witness.detail == detail
+
+
+def _random_graph_verdicts():
+    for i in range(30):
+        fw = random_framework(3 + i % 4, 0.3, 900 + i)
+        yield from (check_self_contradiction(fw),
+                    check_cardinality_precedence(fw),
+                    check_quality_precedence(fw),
+                    check_defense_precedence(fw),
+                    check_counter_transitivity(fw),
+                    check_void_precedence(fw, Semantics.STABLE),
+                    check_strict_independence(fw),
+                    check_unattacked_equivalence(fw))
 
 
 def test_violated_witnesses_reverify_through_absolute_rank():
     """A Violated verdict must be checkable from its witness alone."""
-    for verdict in check_named_counterexamples():
-        if verdict.result is CheckResult.HOLDS:
-            continue
+    violated = [v for v in (*check_named_counterexamples(),
+                            *_random_graph_verdicts())
+                if v.result is CheckResult.VIOLATED]
+    assert len(violated) == 10 + 49
+    for verdict in violated:
         w = verdict.witness
         order = absolute_rank(w.framework, w.semantics)
         assert order.compare(*w.pair) is w.relation
         assert w.detail
+
+
+def test_labels_with_braces_pass_through_witness_details():
+    fw = ArgumentationFramework(
+        ("{a}", "b{0}", "{}"),
+        [("{a}", "b{0}"), ("b{0}", "b{0}"), ("{}", "{a}")])
+    verdict = check_self_contradiction(fw)
+    assert verdict.witness.pair == ("b{0}", "{a}")
+    assert verdict.witness.detail == (
+        "{a} is not strictly above the self-attacker b{0}")
 
 
 def test_verdict_string_form():
