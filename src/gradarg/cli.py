@@ -116,21 +116,38 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _print_order_text(order: ArgumentPartialOrder) -> None:
-    classes = order.equivalence_classes()
-    for i, members in enumerate(classes):
+    for i, members in enumerate(order.equivalence_classes()):
         print(f"[{i}] " + ", ".join(members))
     for i, j in order.hasse_edges():
         print(f"[{i}] > [{j}]")
 
 
-def _order_json(order: ArgumentPartialOrder) -> dict[str, Any]:
-    return {
-        "kind": order.kind,
-        "signatures": {label: sorted(list(g) for g in sig.grades)
-                       for label, sig in order.signatures.items()},
-        "classes": [list(c) for c in order.equivalence_classes()],
-        "hasse": [list(e) for e in order.hasse_edges()],
-    }
+_SIGNATURES = '\n    "signatures": '
+
+
+def _rank_json(params: dict[str, Any], order: ArgumentPartialOrder) -> str:
+    """The rank envelope, byte for byte as ``_emit`` writes it with each
+    signature's sorted grade points.
+
+    With indent set the encoder runs in pure Python, and a large order's
+    signatures repeat a few grade sets, so each distinct set is encoded
+    once and spliced in. The envelope is written with an empty signatures
+    map, found by its key line: the encoder escapes every control
+    character, so a label cannot hold the newline that starts it.
+    Keys are encoded alone, as the encoder encodes them."""
+    result = {"kind": order.kind, "signatures": {},
+              "classes": [list(c) for c in order.equivalence_classes()],
+              "hasse": [list(e) for e in order.hasse_edges()]}
+    head, tail = json.dumps({"command": "rank", "params": params,
+                             "result": result, "witnesses": []},
+                            indent=2).split(_SIGNATURES + "{}", 1)
+    distinct = {sig.bits: sig for sig in order.signatures.values()}
+    encoded = {bits: json.dumps(sorted(sig.grades), indent=2).replace(
+        "\n", "\n      ") for bits, sig in distinct.items()}
+    entries = [f"\n      {json.dumps(label)}: {encoded[sig.bits]}"
+               for label, sig in order.signatures.items()]
+    body = "{" + ",".join(entries) + "\n    }" if entries else "{}"
+    return head + _SIGNATURES + body + tail
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -151,7 +168,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.output == "dot":
         print(order.to_dot(), end="")
     elif args.output == "json":
-        _emit("rank", params, _order_json(order), [])
+        print(_rank_json(params, order))
     else:
         _print_order_text(order)
     return 0

@@ -26,7 +26,7 @@ from .framework import (ArgumentationFramework, connected_components,
                         disjoint_union, random_framework, relabel)
 from .kernel import unattacked_closure
 from .ranking import (ArgumentPartialOrder, JustificationSignature,
-                      Relation, absolute_rank, absolute_signature)
+                      Relation, _grid, absolute_rank, absolute_signature)
 from .semantics import Semantics
 
 RANKED_SEMANTICS = (Semantics.GROUNDED, Semantics.PREFERRED, Semantics.STABLE)
@@ -130,18 +130,19 @@ def check_abstraction(framework: ArgumentationFramework,
 
 
 def _constrained(signatures: dict[str, JustificationSignature],
-                 ) -> dict[str, frozenset[tuple[int, ...]]]:
-    # keep triples (l, m, n) with l >= m and n >= m
-    return {label: frozenset(g for g in sig.grades
-                             if g[0] >= g[1] and g[2] >= g[1])
-            for label, sig in signatures.items()}
+                 ) -> dict[str, int]:
+    """Each signature's bits at the triples (l, m, n) with l >= m and
+    n >= m; the signatures share one bound."""
+    bound = max((sig.bound for sig in signatures.values()), default=1)
+    keep = sum(1 << i for i, (l, m, n) in enumerate(_grid(bound, 3))
+               if l >= m <= n)
+    return {label: sig.bits & keep for label, sig in signatures.items()}
 
 
-def _ranks(signatures: dict[str, frozenset[tuple[int, ...]]], x: str, y: str,
-           strict: bool) -> bool:
+def _ranks(signatures: dict[str, int], x: str, y: str, strict: bool) -> bool:
     """x is at least as good as y, or strictly better when strict."""
-    return (signatures[y] <= signatures[x]
-            and not (strict and signatures[x] <= signatures[y]))
+    return (signatures[y] & ~signatures[x] == 0
+            and not (strict and signatures[x] & ~signatures[y] == 0))
 
 
 def check_independence(framework: ArgumentationFramework,
@@ -315,9 +316,16 @@ def _with_path(framework: ArgumentationFramework, target: str,
 
 
 def _side_by_side(base: ArgumentationFramework,
-                  variant: ArgumentationFramework) -> ArgumentationFramework:
-    suffixed = relabel(variant, {lab: lab + "_b" for lab in variant.labels})
-    return disjoint_union(base, suffixed)
+                  variant: ArgumentationFramework, target: str,
+                  ) -> tuple[ArgumentationFramework, list[tuple[str, str]]]:
+    """The disjoint union of base and a copy of variant whose labels gain
+    a suffix that no base label ends with, so that no copied label
+    clashes, and the pair of target with its copy."""
+    suffix = "_b"
+    while any(lab.endswith(suffix) for lab in base.labels):
+        suffix += "b"
+    copy = relabel(variant, {lab: lab + suffix for lab in variant.labels})
+    return disjoint_union(base, copy), [(target, target + suffix)]
 
 
 def check_attack_path_addition(framework: ArgumentationFramework,
@@ -328,10 +336,11 @@ def check_attack_path_addition(framework: ArgumentationFramework,
     should strictly degrade it (even length: strictly improve it). The
     original and modified copies are ranked inside one disjoint union."""
     odd = length % 2
+    union, pairs = _side_by_side(
+        framework, _with_path(framework, target, length), target)
     return _first_failure(
-        "attack path addition" if odd else "defense path addition",
-        _side_by_side(framework, _with_path(framework, target, length)),
-        (semantics,), [(target, target + "_b")], _x_above if odd else _y_above,
+        "attack path addition" if odd else "defense path addition", union,
+        (semantics,), pairs, _x_above if odd else _y_above,
         f"adding a length-{length} path to {{x}} does not strictly "
         f"{'degrade' if odd else 'improve'} it under {{sem}}")
 
@@ -340,10 +349,10 @@ def _path_increase(length: int, semantics: Semantics,
                    name: str) -> PostulateVerdict:
     # odd = attack path: lengthening should help; even = defense path:
     # lengthening should hurt
+    union, pairs = _side_by_side(fixtures.attack_chain(length),
+                                 fixtures.attack_chain(length + 2), "y")
     return _first_failure(
-        name, _side_by_side(fixtures.attack_chain(length),
-                            fixtures.attack_chain(length + 2)),
-        (semantics,), [("y", "y_b")], _y_above if length % 2 else _x_above,
+        name, union, (semantics,), pairs, _y_above if length % 2 else _x_above,
         f"growing the path from {length} to {length + 2} leaves the "
         "targets {rel} under {sem}")
 

@@ -7,11 +7,20 @@ sceptically justified under a chosen graded semantics. Ranking is
 signature inclusion: an argument sits at least as high as another when
 it is justified everywhere the other is. Sweeps run over the saturated
 window [1, K] per coordinate, beyond which no operator changes.
+
+A signature is held as one int over that grid: bit
+((l-1)*K + (m-1))*K + (n-1) stands for the triple (l, m, n) and bit
+(m-1)*K + (n-1) for the pair (m, n), so ascending bits run through the
+grade points in sorted order. Inclusion is then ``b & ~a == 0``, and
+arguments with equal signatures share one int. Sweeps find one mask of
+arguments per grade point and transpose the masks once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from typing import Iterator
 
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import (defense_mask, defense_orbit, least_fixpoints,
@@ -26,14 +35,26 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
+def _grid(bound: int, arity: int) -> Iterator[tuple[int, ...]]:
+    """The grade points of [1, bound]^arity in bit order."""
+    return product(range(1, bound + 1), repeat=arity)
+
+
 @dataclass(frozen=True)
 class JustificationSignature:
-    """The grade points at which one argument is justified."""
+    """The grade points at which one argument is justified, as bits over
+    the [1, bound] grid of pairs (contextual) or triples (absolute)."""
 
     argument: str
-    grades: frozenset[tuple[int, ...]]
+    bits: int
     bound: int
     kind: str
+
+    @property
+    def grades(self) -> frozenset[tuple[int, ...]]:
+        """The grade points themselves, decoded from the bits."""
+        grid = _grid(self.bound, 2 if self.kind == "contextual" else 3)
+        return frozenset(p for i, p in enumerate(grid) if self.bits >> i & 1)
 
 
 class ArgumentPartialOrder:
@@ -45,10 +66,11 @@ class ArgumentPartialOrder:
         self.framework = framework
         self.signatures = signatures
         self.kind = kind
+        self._classes: tuple[tuple[str, ...], ...] | None = None
 
     def at_least(self, a: str, b: str) -> bool:
         """a ranks at least as high as b: b's grades are a subset of a's."""
-        return self.signatures[b].grades <= self.signatures[a].grades
+        return self.signatures[b].bits & ~self.signatures[a].bits == 0
 
     def compare(self, a: str, b: str) -> Relation:
         ab, ba = self.at_least(a, b), self.at_least(b, a)
@@ -65,33 +87,43 @@ class ArgumentPartialOrder:
 
     def equivalence_classes(self) -> tuple[tuple[str, ...], ...]:
         """Classes of arguments with identical signatures, largest
-        signature first, ties broken by first label."""
-        by_sig: dict[frozenset, list[str]] = {}
-        for label in self.framework.labels:
-            by_sig.setdefault(self.signatures[label].grades, []).append(label)
-        classes = [tuple(sorted(members)) for members in by_sig.values()]
-        return tuple(sorted(
-            classes, key=lambda c: (-len(self.signatures[c[0]].grades), c)))
+        signature first, ties broken by first label. Computed once per
+        order and kept with it."""
+        if self._classes is None:
+            by_sig: dict[int, list[str]] = {}
+            for label, sig in self.signatures.items():
+                by_sig.setdefault(sig.bits, []).append(label)
+            self._classes = tuple(sorted(
+                (tuple(sorted(members)) for members in by_sig.values()),
+                key=lambda c: (-self.signatures[c[0]].bits.bit_count(), c)))
+        return self._classes
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """Cover edges between equivalence-class indices, higher to lower."""
-        classes = self.equivalence_classes()
-        reps = [c[0] for c in classes]
-        above = [[self.strictly_above(a, b) for b in reps] for a in reps]
-        edges = []
-        for i in range(len(reps)):
-            for j in range(len(reps)):
-                if above[i][j] and not any(
-                        above[i][k] and above[k][j] for k in range(len(reps))):
-                    edges.append((i, j))
-        return tuple(edges)
+        """Cover edges between equivalence-class indices, higher to lower.
+
+        Row i holds bit j when class j lies strictly below class i; a
+        strict subset has fewer bits, so only later classes qualify. The
+        covers of i are its row minus everything below a class in it,
+        and rows are built bottom-up so those are ready in time."""
+        sigs = [self.signatures[c[0]].bits for c in self.equivalence_classes()]
+        below, covers = [0] * len(sigs), [0] * len(sigs)
+        for i in reversed(range(len(sigs))):
+            row = deep = 0
+            for j in range(i + 1, len(sigs)):
+                if sigs[j] & ~sigs[i] == 0:
+                    row |= 1 << j
+                    deep |= below[j]
+            below[i], covers[i] = row, row & ~deep
+        return tuple((i, j) for i, row in enumerate(covers)
+                     for j in range(i + 1, len(sigs)) if row >> j & 1)
 
     def to_dot(self) -> str:
-        classes = self.equivalence_classes()
         lines = ["digraph ranking {", "  rankdir=TB;", "  node [shape=box];"]
-        for i, members in enumerate(classes):
-            label = ", ".join(members)
-            lines.append(f'  c{i} [label="{label}"];')
+        for i, members in enumerate(self.equivalence_classes()):
+            # a DOT label ends at an unescaped quote and reads a
+            # backslash as the start of an escape, so both are escaped
+            text = ", ".join(members).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  c{i} [label="{text}"];')
         for i, j in self.hasse_edges():
             lines.append(f"  c{i} -> c{j};")
         lines.append("}")
@@ -101,17 +133,20 @@ class ArgumentPartialOrder:
 # -- signature bookkeeping -----------------------------------------------
 
 
-def _record(grades: list[set], mask: int, point: tuple[int, ...]) -> None:
-    """Add the grade point to the grade set of every member of mask."""
-    for i, bit in enumerate(reversed(f"{mask:b}")):
-        if bit == "1":
-            grades[i].add(point)
-
-
-def _signatures(fw: ArgumentationFramework, grades: list[set], bound: int,
+def _signatures(fw: ArgumentationFramework, masks: list[int], bound: int,
                 kind: str) -> dict[str, JustificationSignature]:
-    return {lab: JustificationSignature(lab, frozenset(g), bound, kind)
-            for lab, g in zip(fw.labels, grades)}
+    """Transpose per-point member masks, masks[p] holding the arguments
+    justified at grade point p, into one signature int per argument.
+
+    Each mask is written as a binary string, highest argument first.
+    Zipping those strings, highest point first, yields one column per
+    argument, highest argument first, and each column reads as that
+    argument's signature in binary."""
+    width = len(fw)
+    columns = zip(*(f"{mask:0{width}b}" for mask in reversed(masks)))
+    rows = [int("".join(column), 2) for column in columns][::-1]
+    return {lab: JustificationSignature(lab, bits, bound, kind)
+            for lab, bits in zip(fw.labels, rows)}
 
 
 # -- contextual (defense-iteration) signatures ---------------------------
@@ -135,19 +170,18 @@ def contextual_signature(
     if x is not None and x.framework != fw:
         raise ValueError("argument set belongs to a different framework")
     k = saturation_bound(fw)
-    grades: list[set] = [set() for _ in range(len(fw))]
+    masks = [0] * (k * k)
     for n in range(1, k + 1):
         m0 = 1
         while start and start & ~defense_mask(fw, m0, n, start):
             union = 0
             for stage in defense_orbit(fw, m0, n, start):
                 union |= stage
-            _record(grades, union, (m0, n))
+            masks[(m0 - 1) * k + n - 1] = union
             m0 += 1
         column = least_fixpoints(fw, n, range(m0, k + 1), start)
-        for m, (union, _) in enumerate(column, start=m0):
-            _record(grades, union, (m, n))
-    return _signatures(fw, grades, k, "contextual")
+        masks[(m0 - 1) * k + n - 1::k] = [union for union, _ in column]
+    return _signatures(fw, masks, k, "contextual")
 
 
 def contextual_rank(fw: ArgumentationFramework,
@@ -215,7 +249,7 @@ def absolute_signature(
     _check_cap(len(fw), max_args)
     k = saturation_bound(fw)
     ms = range(1, k + 1)
-    grades: list[set] = [set() for _ in range(len(fw))]
+    masks = [0] * k ** 3
     lfps = [least_fixpoints(fw, n, ms) for n in ms]
     for n in ms:
         for m, (least, min_l) in enumerate(lfps[n - 1], start=1):
@@ -225,9 +259,8 @@ def absolute_signature(
                 greatest = neutrality_mask(fw, m, lfps[m - 1][n - 1][0])
                 per_l = _sceptical_per_l(fw, semantics, m, n, k, least,
                                          greatest)
-            for l, mask in enumerate(per_l, start=1):
-                _record(grades, mask, (l, m, n))
-    return _signatures(fw, grades, k, f"absolute:{semantics.value}")
+            masks[(m - 1) * k + n - 1::k * k] = per_l
+    return _signatures(fw, masks, k, f"absolute:{semantics.value}")
 
 
 def absolute_rank(fw: ArgumentationFramework, semantics: Semantics,

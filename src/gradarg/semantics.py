@@ -17,11 +17,10 @@ least defense fixpoint and every admissible set lies inside the greatest
 one; l-conflict-freeness is hereditary, so a depth-first search between
 those bounds can drop a branch as soon as its set breaks it. Each set
 the search yields is still checked against the unchanged predicates,
-so the bounds only prune. The exhaustive scan over all 2^n subsets is
-kept as the private reference ``_scan_extensions``, against which the
-tests hold the search; both feed their candidates to the same predicate
-``_satisfies`` that backs ``is_lmn_admissible``, ``is_lmn_complete`` and
-``is_lmn_stable``.
+so the bounds only prune. The tests hold the search against an
+exhaustive scan over all 2^n subsets; both feed their candidates to
+the same predicate ``_satisfies`` that backs ``is_lmn_admissible``,
+``is_lmn_complete`` and ``is_lmn_stable``.
 """
 from __future__ import annotations
 
@@ -207,7 +206,7 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     fixpoint contains the least one, so it is the least complete
     extension when it is l-conflict-free and no complete extension exists
     otherwise. Every candidate is checked against the predicate itself,
-    so the answers are those of the full subset scan ``_scan_extensions``.
+    so the answers are those of a full subset scan.
     Extensions come out sorted by (size, bitmask).
     """
     _check_cap(len(fw), max_args)
@@ -246,47 +245,6 @@ def _no_grounded(fw: ArgumentationFramework, params: GradeParams,
         Semantics.GROUNDED, params, (), Existence.NONE_EXISTS,
         Witness("no l-conflict-free defense fixpoint exists; "
                 "least defense fixpoint shown", ArgumentSet(fw, least)))
-
-
-# -- the exhaustive reference scan --------------------------------------
-
-
-def _subsets_by_popcount(n: int) -> Iterator[int]:
-    """All masks over n bits, popcount ascending, value ascending within
-    each popcount class (Gosper's hack)."""
-    yield 0
-    top = 1 << n
-    for k in range(1, n + 1):
-        x = (1 << k) - 1
-        while x < top:
-            yield x
-            c = x & -x
-            r = x + c
-            x = (((r ^ x) >> 2) // c) | r
-
-
-def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
-                     params: GradeParams) -> ExtensionFamily:
-    """The same families as enumerate_extensions, found by testing every
-    one of the 2^n subsets; no cap. A reference for the tests only, so
-    grounded keeps its own rule: the least of all complete extensions.
-
-    That least element exists whenever a complete extension does.
-    Defense is monotone, so its least fixpoint lies inside every
-    fixpoint, hence inside every complete extension; conflict-freeness
-    is hereditary, so the least fixpoint is then l-conflict-free and is
-    itself the least complete extension."""
-    subsets = _subsets_by_popcount(len(fw))
-    if semantics is not Semantics.GROUNDED:
-        return _select(fw, semantics, params, subsets)
-    completes = [e.mask for e in _select(
-        fw, Semantics.COMPLETE, params, subsets).extensions]
-    if not completes:
-        [(least, _)] = least_fixpoints(fw, params.n,
-                                       range(params.m, params.m + 1))
-        return _no_grounded(fw, params, least)
-    least = [x for x in completes if all(x & ~y == 0 for y in completes)]
-    return _family(fw, semantics, params, least)
 
 
 def _family(fw: ArgumentationFramework, semantics: Semantics,

@@ -229,6 +229,32 @@ def contextual_signature(labels: Labels, attacks: Attacks,
     return grades
 
 
+def rank_classes(labels: Labels, grades: dict[str, frozenset],
+                 ) -> tuple[tuple[str, ...], ...]:
+    """Arguments with equal grade sets, largest set first, ties broken by
+    first label."""
+    by_sig: dict[frozenset, list[str]] = {}
+    for lab in labels:
+        by_sig.setdefault(grades[lab], []).append(lab)
+    classes = [tuple(sorted(members)) for members in by_sig.values()]
+    return tuple(sorted(classes, key=lambda c: (-len(grades[c[0]]), c)))
+
+
+def hasse_edges(classes: tuple[tuple[str, ...], ...],
+                grades: dict[str, frozenset]) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j) of strict grade-set inclusion between classes,
+    by testing every middle class k of every pair."""
+    sigs = [grades[c[0]] for c in classes]
+    above = [[b < a for b in sigs] for a in sigs]
+    edges = []
+    for i in range(len(sigs)):
+        for j in range(len(sigs)):
+            if above[i][j] and not any(above[i][k] and above[k][j]
+                                       for k in range(len(sigs))):
+                edges.append((i, j))
+    return tuple(edges)
+
+
 # -- propositional logic, by structural recursion ---------------------------
 
 

@@ -5,8 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradarg.cli import main
+from gradarg.cli import _rank_json, main
+from gradarg.framework import ArgumentationFramework
+from gradarg.ranking import absolute_rank, contextual_rank
+from gradarg.semantics import Semantics
 
 THREE_CYCLE = "a\nb\nc\n#\na b\nb c\nc a\n"
 SHARED_TARGET_CHAIN = "a3\nb3\nc3\nd3\ne3\n#\nb3 a3\nc3 a3\nd3 b3\ne3 c3\n"
@@ -199,6 +203,61 @@ def test_rank_json_carries_signatures():
     # the unattacked top holds every grade pair up to the bound
     assert data["result"]["signatures"]["c1"] == [
         [1, 1], [1, 2], [2, 1], [2, 2]]
+
+
+HOSTILE_LABELS = ('say "hi"', "back\\slash", "nul\x00", "{brace}", "}",
+                  "ünï", "日本", "signatures", '"signatures"', 'x": 3',
+                  ': 3', '\\n    "signatures": ', '\n    "signatures": {}',
+                  "[", "]", ",")
+
+
+@st.composite
+def hostile_frameworks(draw):
+    labels = draw(st.lists(
+        st.sampled_from(HOSTILE_LABELS) | st.text(min_size=1, max_size=4),
+        min_size=0, max_size=6, unique=True))
+    pairs = [(a, b) for a in labels for b in labels]
+    attacks = draw(st.lists(st.sampled_from(pairs), unique=True,
+                            max_size=len(pairs))) if pairs else []
+    return ArgumentationFramework(labels, attacks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_frameworks(), st.integers(0, 63),
+       st.sampled_from(["", "grounded", "preferred", "stable"]))
+def test_rank_json_splice_is_byte_identical(fw, context, semantics):
+    """The spliced rank envelope against one json.dumps of the envelope
+    built from the decoded grades, for contextual and absolute orders on
+    labels that hold quotes, backslashes, NUL, braces, non-ASCII text,
+    the key's own name and the text of its key line."""
+    if semantics:
+        order = absolute_rank(fw, Semantics(semantics))
+        params = {"mode": "absolute", "semantics": semantics}
+    else:
+        start = fw.set_from_mask(context & fw.full_mask)
+        order = contextual_rank(fw, start)
+        params = {"mode": "contextual", "start": list(start.labels)}
+    result = {"kind": order.kind,
+              "signatures": {label: sorted(list(g) for g in sig.grades)
+                             for label, sig in order.signatures.items()},
+              "classes": [list(c) for c in order.equivalence_classes()],
+              "hasse": [list(e) for e in order.hasse_edges()]}
+    assert _rank_json(params, order) == json.dumps(
+        {"command": "rank", "params": params, "result": result,
+         "witnesses": []}, indent=2)
+
+
+def test_rank_dot_escapes_tgf_labels():
+    code, out, _ = run_cli(["rank", "--contextual", "", "--output", "dot"],
+                           'a"x\nb\\\n#\nb\\ a"x\n')
+    assert code == 0
+    assert out == ('digraph ranking {\n'
+                   '  rankdir=TB;\n'
+                   '  node [shape=box];\n'
+                   '  c0 [label="b\\\\"];\n'
+                   '  c1 [label="a\\"x"];\n'
+                   '  c0 -> c1;\n'
+                   '}\n')
 
 
 def test_rank_respects_enumeration_cap():

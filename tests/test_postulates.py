@@ -216,6 +216,22 @@ def test_path_addition_and_increase_checkers():
         check_defense_path_increase(length=3)
 
 
+def test_path_addition_copies_under_a_fresh_suffix():
+    """A base label that already ends in _b would clash with the copy's
+    a_b, so the copy takes _bb, and the witness pair names the copy's
+    target inside the ranked union."""
+    fw = ArgumentationFramework(("a", "a_b"), [("a_b", "a")])
+    assert check_attack_path_addition(fw, "a").result is CheckResult.HOLDS
+    defense = check_attack_path_addition(fw, "a", length=2)
+    assert defense.result is CheckResult.VIOLATED
+    w = defense.witness
+    assert w.pair == ("a", "a_bb")
+    assert w.framework.labels == ("a", "a_b", "a_bb", "a_b_bb", "w1_bb",
+                                  "w2_bb")
+    assert absolute_rank(w.framework, w.semantics).compare(*w.pair) \
+        is w.relation
+
+
 def test_unattacked_equivalence_checker():
     assert check_unattacked_equivalence(
         fixtures.two_on_one()).result is CheckResult.HOLDS

@@ -367,6 +367,57 @@ def test_hasse_edges_are_cover_relations():
                     assert (i, j) in edges
 
 
+def _orders(fw: ArgumentationFramework):
+    """The contextual orders from the empty and from a two-argument
+    context, and the absolute order under each semantics."""
+    yield contextual_rank(fw)
+    yield contextual_rank(fw, fw.set_from_mask(fw.full_mask & 0b101))
+    for semantics in ABSOLUTE_SEMANTICS:
+        yield absolute_rank(fw, semantics)
+
+
+def test_classes_and_hasse_edges_match_the_cover_loop():
+    """Classes grouped by signature int and bit-row Hasse edges against
+    the oracle's frozenset grouping and cover loop. The corpus must hold
+    orders with a comparable pair that is no cover, so that removing the
+    pairs below a cover matters."""
+    corpus = [chain_pair(), quality_precedence(), three_cycle(),
+              *seeded_corpus(36, sizes=(1, 7), edge_prob=0.25, seed0=6100)]
+    transitive = 0
+    for fw in corpus:
+        for order in _orders(fw):
+            grades = {lab: sig.grades for lab, sig in order.signatures.items()}
+            classes = oc.rank_classes(fw.labels, grades)
+            edges = oc.hasse_edges(classes, grades)
+            assert order.equivalence_classes() == classes
+            assert order.hasse_edges() == edges
+            sigs = [grades[c[0]] for c in classes]
+            strict = sum(b < a for a in sigs for b in sigs)
+            transitive += strict > len(edges)
+    assert transitive >= 20
+
+
+def test_grades_round_trip_through_the_signature_int():
+    """Each argument's decoded grade points, re-encoded by the bit formula
+    ((l-1)K + (m-1))K + (n-1), give back its int; every point lies in the
+    [1, K] grid, and equal grade sets are equal ints."""
+    for fw in seeded_corpus(24, sizes=(1, 7), edge_prob=0.3, seed0=6400):
+        k = saturation_bound(fw)
+        for order in _orders(fw):
+            by_grades = {}
+            for sig in order.signatures.values():
+                assert sig.bound == k
+                bits = 0
+                for point in sig.grades:
+                    assert all(1 <= g <= k for g in point)
+                    index = 0
+                    for g in point:
+                        index = index * k + g - 1
+                    bits |= 1 << index
+                assert bits == sig.bits
+                assert by_grades.setdefault(sig.grades, sig.bits) == sig.bits
+
+
 def test_dot_output_frozen_for_the_chain_fixture():
     assert contextual_rank(chain_pair()).to_dot() == (
         "digraph ranking {\n"
@@ -381,4 +432,27 @@ def test_dot_output_frozen_for_the_chain_fixture():
         "  c1 -> c2;\n"
         "  c2 -> c3;\n"
         "  c3 -> c4;\n"
+        "}\n")
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    """A quote or backslash in a label is escaped, so the label string
+    ends where DOT reads its end; plain labels come out as before."""
+    fw = ArgumentationFramework(('a"x', "b\\", "c"), [("c", 'a"x')])
+    assert contextual_rank(fw).to_dot() == (
+        "digraph ranking {\n"
+        "  rankdir=TB;\n"
+        "  node [shape=box];\n"
+        '  c0 [label="b\\\\, c"];\n'
+        '  c1 [label="a\\"x"];\n'
+        "  c0 -> c1;\n"
+        "}\n")
+    plain = ArgumentationFramework(("ax", "b", "c"), [("c", "ax")])
+    assert contextual_rank(plain).to_dot() == (
+        "digraph ranking {\n"
+        "  rankdir=TB;\n"
+        "  node [shape=box];\n"
+        '  c0 [label="b, c"];\n'
+        '  c1 [label="ax"];\n'
+        "  c0 -> c1;\n"
         "}\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,13 @@ from gradarg.errors import (ConstraintViolatedError, NoExtensionError,
 from gradarg.fixtures import (defended_two_on_one, isolated_node, mutual_pair,
                               shared_target_chain, three_cycle, two_on_one)
 from gradarg.framework import ArgumentationFramework, random_framework
-from gradarg.kernel import (GradeParams, graded_neutrality, lfp_from,
-                            saturation_bound, unattacked_closure)
+from gradarg.kernel import (GradeParams, graded_neutrality, least_fixpoints,
+                            lfp_from, saturation_bound, unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
                                JustificationMode, Semantics, _candidates,
-                               _scan_extensions, complete_closure,
-                               enumerate_extensions, grounded_by_construction,
+                               _family, _no_grounded, _select,
+                               complete_closure, enumerate_extensions,
+                               grounded_by_construction,
                                is_l_conflict_free, is_lmn_admissible,
                                is_lmn_complete, is_lmn_stable, justified,
                                preferred_by_reachability, resolve_max_args,
@@ -164,6 +166,48 @@ def test_enumeration_bound(monkeypatch):
     monkeypatch.setenv("GRADARG_MAX_ARGS", "lots")
     with pytest.raises(ValueError):
         resolve_max_args()
+
+
+# -- the exhaustive reference scan --------------------------------------
+
+
+def _subsets_by_popcount(n: int) -> Iterator[int]:
+    """All masks over n bits, popcount ascending, value ascending within
+    each popcount class (Gosper's hack)."""
+    yield 0
+    top = 1 << n
+    for k in range(1, n + 1):
+        x = (1 << k) - 1
+        while x < top:
+            yield x
+            c = x & -x
+            r = x + c
+            x = (((r ^ x) >> 2) // c) | r
+
+
+def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
+                     params: GradeParams) -> ExtensionFamily:
+    """The same families as enumerate_extensions, found by testing every
+    one of the 2^n subsets; no cap. A reference independent of the
+    search, so grounded keeps its own rule: the least of all complete
+    extensions.
+
+    That least element exists whenever a complete extension does.
+    Defense is monotone, so its least fixpoint lies inside every
+    fixpoint, hence inside every complete extension; conflict-freeness
+    is hereditary, so the least fixpoint is then l-conflict-free and is
+    itself the least complete extension."""
+    subsets = _subsets_by_popcount(len(fw))
+    if semantics is not Semantics.GROUNDED:
+        return _select(fw, semantics, params, subsets)
+    completes = [e.mask for e in _select(
+        fw, Semantics.COMPLETE, params, subsets).extensions]
+    if not completes:
+        [(least, _)] = least_fixpoints(fw, params.n,
+                                       range(params.m, params.m + 1))
+        return _no_grounded(fw, params, least)
+    least = [x for x in completes if all(x & ~y == 0 for y in completes)]
+    return _family(fw, semantics, params, least)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.15, 0.3, 0.5])
