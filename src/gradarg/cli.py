@@ -14,11 +14,8 @@ import json
 import sys
 from typing import Any, Callable, Sequence
 
-from .errors import (AtomBoundError, ConstraintViolatedError,
-                     FormulaParseError, FrameworkParseError,
-                     KnowledgeBaseError, NoExtensionError,
-                     NotAdmissibleError, NotExpandableError,
-                     NotReachingError, TooLargeError)
+from .errors import (FormulaParseError, FrameworkParseError, GradargError,
+                     KnowledgeBaseError)
 from .formats import parse, write
 from .framework import ArgumentSet, ArgumentationFramework
 from .instantiate import (build_defeat_graph, graded_inference, parse_kb,
@@ -31,9 +28,6 @@ from .ranking import ArgumentPartialOrder, absolute_rank, contextual_rank
 from .semantics import (Existence, JustificationMode, Semantics,
                         enumerate_extensions)
 
-_DOMAIN_ERRORS = (TooLargeError, AtomBoundError,
-                  ConstraintViolatedError, NotAdmissibleError,
-                  NotReachingError, NotExpandableError, NoExtensionError)
 _USAGE_ERRORS = (FrameworkParseError, KnowledgeBaseError, FormulaParseError,
                  ValueError)
 
@@ -367,12 +361,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except GradargError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AtomBoundError, KnowledgeBaseError
+from .errors import AtomBoundError, FormulaParseError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import GradeParams
 from .logic import (MAX_ATOMS, Formula, atoms, complement, format_formula,
@@ -79,13 +79,9 @@ def parse_kb(text: str) -> KnowledgeBase:
             raise KnowledgeBaseError("stratum index must be >= 1", lineno)
         try:
             formula = parse_formula(match.group(2))
-            first = seen.setdefault(formula, lineno)
-        except RecursionError:
-            # hashing a formula recurses through its nesting
-            raise KnowledgeBaseError(
-                "formula is nested too deeply", lineno) from None
-        except Exception as exc:
+        except FormulaParseError as exc:
             raise KnowledgeBaseError(str(exc), lineno) from exc
+        first = seen.setdefault(formula, lineno)
         if first != lineno:
             raise KnowledgeBaseError(
                 f"formula already given on line {first}", lineno)

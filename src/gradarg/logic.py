@@ -7,8 +7,11 @@ value on row r, the row that gives the i-th atom the value of bit i of
 r. A set of formulas is then consistent when the AND of their tables is
 non-zero, and premises entail a goal when `premises & ~goal == 0`.
 Tables have 2^k bits, so k is capped at 16 distinct atoms. The compiler
-and the atom walk keep explicit stacks instead of recursing, so the
-depth of a formula is bounded by memory alone.
+and the atom walk keep explicit stacks instead of recursing, so they
+take formulas of any depth. Hashing, comparing and rendering a formula
+recurse once or twice per level, so the parser refuses formulas deeper
+than ``MAX_DEPTH`` levels, which keeps them far inside the interpreter's
+default recursion limit.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from typing import Iterable, Mapping
 from .errors import AtomBoundError, FormulaParseError
 
 MAX_ATOMS = 16
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -127,13 +131,28 @@ def parse_formula(text: str) -> Formula:
         return Atom(word)
 
     try:
+        # the parser recurses on every level and on every parenthesis,
+        # so deep input can exhaust the stack before the depth check
         result = implication()
     except RecursionError:
         raise FormulaParseError("formula is nested too deeply") from None
     if index < len(tokens):
         raise FormulaParseError(
             f"unexpected trailing {tokens[index][0]!r}", tokens[index][1])
+    # every level holds a token of its own, so short formulas pass
+    if len(tokens) > MAX_DEPTH and _depth(result) > MAX_DEPTH:
+        raise FormulaParseError("formula is nested too deeply")
     return result
+
+
+def _depth(f: Formula) -> int:
+    """Levels of the formula tree, an atom counting as one."""
+    level, layer = 0, [f]
+    while layer:
+        level += 1
+        layer = [c for g in layer if not isinstance(g, Atom) for c in (
+            (g.operand,) if isinstance(g, Not) else (g.left, g.right))]
+    return level
 
 
 def format_formula(f: Formula) -> str:

@@ -14,18 +14,22 @@ A signature is held as one int over that grid: bit
 grade points in sorted order. Inclusion is then ``b & ~a == 0``, and
 arguments with equal signatures share one int. Sweeps find one mask of
 arguments per grade point and transpose the masks once.
+
+The absolute sweep owns no extension rule: it reads every family from
+``semantics._families``, the rule ``enumerate_extensions`` reads one
+grade of, and only intersects them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .framework import ArgumentationFramework, ArgumentSet
 from .kernel import (defense_mask, defense_orbit, least_fixpoints,
-                     least_tolerance, neutrality_mask, saturation_bound)
-from .semantics import Semantics, _candidates, _check_cap, _maximal
+                     saturation_bound)
+from .semantics import Semantics, _check_cap, _families
 
 
 class Relation(Enum):
@@ -192,40 +196,6 @@ def contextual_rank(fw: ArgumentationFramework,
 # -- absolute (sceptical-justification) signatures -----------------------
 
 
-def _sceptical_per_l(fw: ArgumentationFramework, semantics: Semantics,
-                     m: int, n: int, bound: int, least: int,
-                     greatest: int) -> list[int]:
-    """Sceptically justified masks for l = 1..bound at one defense grade,
-    for preferred or stable, given the least and greatest (m, n) defense
-    fixpoints (the caller derives the greatest from the least fixpoint at
-    the swapped grade).
-
-    One search collects every defense fixpoint together with the least l
-    making it conflict-free; each l then filters that list without
-    searching again. Every fixpoint lies between the least and the
-    greatest one, and a stable one is m-conflict-free, so the search runs
-    on that interval at tolerance bound, or min(bound, m) for stable.
-    """
-    tolerance = min(bound, m) if semantics is Semantics.STABLE else bound
-    fixpoints: list[tuple[int, int]] = []
-    for x in _candidates(fw, tolerance, least, greatest):
-        if defense_mask(fw, m, n, x) == x:
-            if semantics is Semantics.STABLE and neutrality_mask(
-                    fw, m, x) != x:
-                continue
-            fixpoints.append((x, least_tolerance(fw, x)))
-    out = []
-    for l in range(1, bound + 1):
-        family = [x for x, min_l in fixpoints if min_l <= l]
-        if semantics is Semantics.PREFERRED:
-            family = _maximal(family)
-        mask = fw.full_mask
-        for x in family:
-            mask &= x
-        out.append(mask)
-    return out
-
-
 def absolute_signature(
         fw: ArgumentationFramework, semantics: Semantics,
         max_args: int | None = None) -> dict[str, JustificationSignature]:
@@ -234,13 +204,11 @@ def absolute_signature(
     family justifies everything (empty intersection).
 
     One ``least_fixpoints`` walk per column n gives the least defense
-    fixpoint at every (m, n). Grounded needs nothing more: the least
-    fixpoint is the unique minimal fixpoint, hence the least complete
-    extension exactly when it is l-conflict-free, and the walk's counters
-    already hold its least tolerance. Preferred and stable search
-    between the least fixpoint and the greatest, which is the m-neutral
-    set of the least fixpoint at the swapped grade (n, m), read from the
-    column at m.
+    fixpoint at every (m, n), with its least tolerance, and the column at
+    m gives the least fixpoint at the swapped grade (n, m). From those,
+    ``semantics._families`` gives the family at every l in [1, K], the
+    same rule ``enumerate_extensions`` reads one l of, and each family is
+    intersected.
     """
     if semantics not in (Semantics.GROUNDED, Semantics.PREFERRED,
                          Semantics.STABLE):
@@ -249,17 +217,20 @@ def absolute_signature(
     _check_cap(len(fw), max_args)
     k = saturation_bound(fw)
     ms = range(1, k + 1)
-    masks = [0] * k ** 3
     lfps = [least_fixpoints(fw, n, ms) for n in ms]
+
+    def least_at(m: int, n: int) -> int:
+        return lfps[n - 1][m - 1][0]
+
+    families: list[Sequence[int]] = [()] * k ** 3
     for n in ms:
-        for m, (least, min_l) in enumerate(lfps[n - 1], start=1):
-            if semantics is Semantics.GROUNDED:
-                per_l = [least if l >= min_l else fw.full_mask for l in ms]
-            else:
-                greatest = neutrality_mask(fw, m, lfps[m - 1][n - 1][0])
-                per_l = _sceptical_per_l(fw, semantics, m, n, k, least,
-                                         greatest)
-            masks[(m - 1) * k + n - 1::k * k] = per_l
+        for m in ms:
+            families[(m - 1) * k + n - 1::k * k] = _families(
+                fw, semantics, m, n, ms, lfps[n - 1][m - 1], least_at)
+    masks = [fw.full_mask] * k ** 3
+    for i, family in enumerate(families):
+        for x in family:
+            masks[i] &= x
     return _signatures(fw, masks, k, f"absolute:{semantics.value}")
 
 

@@ -17,17 +17,23 @@ least defense fixpoint and every admissible set lies inside the greatest
 one; l-conflict-freeness is hereditary, so a depth-first search between
 those bounds can drop a branch as soon as its set breaks it. Each set
 the search yields is still checked against the unchanged predicates,
-so the bounds only prune. The tests hold the search against an
-exhaustive scan over all 2^n subsets; both feed their candidates to
-the same predicate ``_satisfies`` that backs ``is_lmn_admissible``,
-``is_lmn_complete`` and ``is_lmn_stable``.
+so the bounds only prune.
+
+The extension rule exists once, in ``_families``: for one defense grade
+(m, n) it gives the family at every l of a range, from one search whose
+hits carry the least tolerance the predicate core ``_tolerance`` finds.
+``enumerate_extensions`` reads it at one l, and the absolute ranking
+sweep in ``ranking`` at every l in [1, K]. The same core backs
+``is_lmn_admissible``, ``is_lmn_complete`` and ``is_lmn_stable``, and
+the tests hold the search against an exhaustive scan over all 2^n
+subsets that feeds its candidates to that core too.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
@@ -129,20 +135,27 @@ def is_l_conflict_free(fw: ArgumentationFramework, l: int,
     return least_tolerance(fw, x.mask) <= l
 
 
+def _tolerance(fw: ArgumentationFramework, semantics: Semantics, m: int,
+               n: int, x: int) -> int:
+    """The predicate core: the least tolerance of the mask x if x passes
+    the (m, n) part of the extension predicate, and 0 if it fails. That
+    part is containment in its own defense (admissible), equality with it
+    (complete, and the candidates of preferred and grounded), or equality
+    with it and with its own m-neutral set (stable); x is then an
+    extension at exactly the l from the returned value up. Defense is
+    tested first, since the tolerance costs a count over every member."""
+    d = defense_mask(fw, m, n, x)
+    if x & ~d or (d != x and semantics is not Semantics.ADMISSIBLE):
+        return 0
+    if semantics is Semantics.STABLE and neutrality_mask(fw, m, x) != x:
+        return 0
+    return least_tolerance(fw, x)
+
+
 def _satisfies(fw: ArgumentationFramework, semantics: Semantics,
                params: GradeParams, x: int) -> bool:
-    """The extension predicate on a mask: l-conflict-free and contained
-    in its own defense (admissible), equal to it (complete, and the
-    candidates of preferred and grounded), or equal to it and to its own
-    m-neutral set (stable). Defense is tested before conflict, which
-    costs a count over every member."""
-    d = defense_mask(fw, params.m, params.n, x)
-    if semantics is Semantics.ADMISSIBLE:
-        defended = x & ~d == 0
-    else:
-        defended = d == x and (semantics is not Semantics.STABLE
-                               or neutrality_mask(fw, params.m, x) == x)
-    return defended and least_tolerance(fw, x) <= params.l
+    """The extension predicate on a mask at (l, m, n)."""
+    return 0 < _tolerance(fw, semantics, params.m, params.n, x) <= params.l
 
 
 def is_lmn_admissible(fw: ArgumentationFramework, params: GradeParams,
@@ -189,6 +202,43 @@ def _candidates(fw: ArgumentationFramework, l: int, floor: int,
                 stack.append((y, j + 1))
 
 
+def _families(fw: ArgumentationFramework, semantics: Semantics, m: int,
+              n: int, ls: range, lfp: tuple[int, int],
+              least_at: Callable[[int, int], int]) -> list[Sequence[int]]:
+    """The extension family at (l, m, n) for each l of the ascending
+    range ls, as masks in search order.
+
+    lfp is the least (m, n) defense fixpoint with its least tolerance, as
+    a ``least_fixpoints`` walk gives it. Grounded needs nothing more:
+    every fixpoint contains the least one, so it is the least complete
+    extension at each l where it is l-conflict-free, and no complete
+    extension exists at the others. The other semantics share one
+    ``_candidates`` search at the largest l: l-conflict-free sets inside
+    the greatest (m, n) fixpoint, the m-neutral set of least_at(n, m),
+    the least fixpoint at the swapped grade; for complete, preferred and
+    stable they also contain the least one. A stable extension is its
+    own m-neutral set, hence m-conflict-free, so stable searches at
+    tolerance min(l, m). Each hit keeps the least tolerance
+    ``_tolerance`` gives it, so every l filters the hits without
+    searching again; preferred then keeps the maximal ones.
+    """
+    least, min_l = lfp
+    if semantics is Semantics.GROUNDED:
+        hit = (least,)
+        return [hit if min_l <= l else () for l in ls]
+    greatest = neutrality_mask(fw, m, least_at(n, m))
+    floor = 0 if semantics is Semantics.ADMISSIBLE else least
+    top = min(ls[-1], m) if semantics is Semantics.STABLE else ls[-1]
+    hits = [(x, t) for x in _candidates(fw, top, floor, greatest)
+            if (t := _tolerance(fw, semantics, m, n, x))]
+    preferred = semantics is Semantics.PREFERRED
+    out = []
+    for l in ls:
+        family = [x for x, t in hits if t <= l]
+        out.append(_maximal(family) if preferred else family)
+    return out
+
+
 def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
                          params: GradeParams,
                          max_args: int | None = None) -> ExtensionFamily:
@@ -196,42 +246,21 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     extension predicate.
 
     Valid at every parameter triple; exponential in the argument count
-    in the worst case, hence the cap. Candidates come from ``_candidates``:
-    l-conflict-free sets inside the greatest defense fixpoint, containing
-    the least one for complete, preferred and stable. Both bounds come
-    from one-point ``least_fixpoints`` walks, since the greatest (m, n)
-    fixpoint is the m-neutral set of the least (n, m) one. A stable
-    extension is its own m-neutral set, hence m-conflict-free, so stable
-    searches at tolerance min(l, m). Grounded needs no search: every
-    fixpoint contains the least one, so it is the least complete
-    extension when it is l-conflict-free and no complete extension exists
-    otherwise. Every candidate is checked against the predicate itself,
-    so the answers are those of a full subset scan.
-    Extensions come out sorted by (size, bitmask).
+    in the worst case, hence the cap. The family is ``_families`` at the
+    one point l, from one-point ``least_fixpoints`` walks at (m, n) and,
+    when a search needs the greatest fixpoint, at (n, m). Every candidate
+    is checked against the predicate itself, so the answers are those of
+    a full subset scan. Extensions come out sorted by (size, bitmask).
     """
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
-    [(least, min_l)] = least_fixpoints(fw, n, range(m, m + 1))
-    if semantics is Semantics.GROUNDED:
-        if min_l <= l:
-            return _family(fw, semantics, params, [least])
-        return _no_grounded(fw, params, least)
-    [(swapped, _)] = least_fixpoints(fw, m, range(n, n + 1))
-    greatest = neutrality_mask(fw, m, swapped)
-    floor = 0 if semantics is Semantics.ADMISSIBLE else least
-    tolerance = min(l, m) if semantics is Semantics.STABLE else l
-    return _select(fw, semantics, params,
-                   _candidates(fw, tolerance, floor, greatest))
-
-
-def _select(fw: ArgumentationFramework, semantics: Semantics,
-            params: GradeParams, candidates: Iterable[int]) -> ExtensionFamily:
-    """The family of the candidates that satisfy the semantics'
-    predicate; for preferred, the maximal complete ones."""
-    hits = [x for x in candidates if _satisfies(fw, semantics, params, x)]
-    if semantics is Semantics.PREFERRED:
-        hits = _maximal(hits)
-    return _family(fw, semantics, params, hits)
+    [lfp] = least_fixpoints(fw, n, range(m, m + 1))
+    [family] = _families(
+        fw, semantics, m, n, range(l, l + 1), lfp,
+        lambda a, b: least_fixpoints(fw, b, range(a, a + 1))[0][0])
+    if semantics is Semantics.GROUNDED and not family:
+        return _no_grounded(fw, params, lfp[0])
+    return _family(fw, semantics, params, family)
 
 
 def _maximal(masks: list[int]) -> list[int]:
@@ -248,7 +277,7 @@ def _no_grounded(fw: ArgumentationFramework, params: GradeParams,
 
 
 def _family(fw: ArgumentationFramework, semantics: Semantics,
-            params: GradeParams, masks: list[int]) -> ExtensionFamily:
+            params: GradeParams, masks: Sequence[int]) -> ExtensionFamily:
     masks = sorted(masks, key=lambda x: (x.bit_count(), x))
     return ExtensionFamily(
         semantics, params,

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradarg.cli import _rank_json, main
+from gradarg.errors import (FormulaParseError, FrameworkParseError,
+                            GradargError, KnowledgeBaseError)
 from gradarg.framework import ArgumentationFramework
+from gradarg.logic import MAX_DEPTH
 from gradarg.ranking import absolute_rank, contextual_rank
 from gradarg.semantics import Semantics
 
@@ -405,6 +408,52 @@ def test_instantiate_usage_errors():
                                "1: " + "!" * depth + "a\n")
         assert (code, err) == (
             2, "error: line 1: formula is nested too deeply\n")
+
+
+@pytest.mark.parametrize("emit", ["graph", "ps", "check", "infer"])
+def test_nesting_bound_answers_or_exits_2_at_every_depth(emit):
+    """A negation chain up to MAX_DEPTH levels (the atom is one) gets an
+    answer; a deeper one exits 2 with one stderr line, never a
+    traceback. Covers the bound and the 490-500 window, where hashing
+    the formula once overran the interpreter's recursion limit."""
+    argv = ["instantiate", "--kb", "-", "--emit", emit]
+    if emit == "infer":
+        argv += ["--goal", "a"]
+    depths = [*range(MAX_DEPTH - 3, MAX_DEPTH + 4), *range(490, 501)]
+    for depth in depths:
+        text = "1: " + "!" * (depth - 1) + "a\n"
+        code, out, err = run_cli(argv, text)
+        if depth <= MAX_DEPTH:
+            assert code in (0, 1) and out, depth
+        else:
+            assert (code, out, err) == (
+                2, "", "error: line 1: formula is nested too deeply\n"), depth
+
+
+def _error_classes(base: type) -> list[type]:
+    found = []
+    for sub in base.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            found.append(sub)
+        found += _error_classes(sub)
+    return found
+
+
+@pytest.mark.parametrize("error", _error_classes(GradargError),
+                         ids=lambda error: error.__name__)
+def test_exit_code_follows_the_error_class(monkeypatch, error):
+    """The three parse errors are usage errors (exit 2); every other
+    library error is a domain answer or a resource bound (exit 1). Both
+    print exactly one line."""
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr("gradarg.cli.enumerate_extensions", fail)
+    code, out, err = run_cli(["solve", "--semantics", "grounded", "--l", "1",
+                              "--m", "1", "--n", "1"], THREE_CYCLE)
+    usage = (FrameworkParseError, KnowledgeBaseError, FormulaParseError)
+    assert (code, out, err) == (2 if error in usage else 1, "",
+                                "error: boom\n")
 
 
 def test_goal_atoms_past_the_bound_fail_before_generation(monkeypatch):

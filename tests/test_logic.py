@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 import oracles as oc
 from gradarg.errors import AtomBoundError, FormulaParseError
-from gradarg.logic import (And, Atom, Implies, MAX_ATOMS, Not, Or, atoms,
-                           complement, complementary, entails, evaluate,
-                           format_formula, is_consistent, parse_formula,
-                           strip_double_negation, truth_tables)
+from gradarg.logic import (And, Atom, Implies, MAX_ATOMS, MAX_DEPTH, Not, Or,
+                           atoms, complement, complementary, entails,
+                           evaluate, format_formula, is_consistent,
+                           parse_formula, strip_double_negation, truth_tables)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -67,6 +67,30 @@ def test_unexpected_close_paren():
         parse_formula("a )")
     with pytest.raises(FormulaParseError):
         parse_formula(")")
+
+
+@pytest.mark.parametrize("chain", [
+    lambda d: "!" * (d - 1) + "a",
+    lambda d: " -> ".join(["a"] * d),
+    lambda d: " & ".join(["a"] * d),
+    lambda d: " | ".join(["b"] * (d - 1)) + " | !a",
+], ids=["negation", "implication", "conjunction", "disjunction"])
+def test_parser_bounds_formula_depth(chain):
+    """Each chain has exactly d levels, nested right (negation,
+    implication) or left (conjunction, disjunction). At the bound it
+    parses, and hashing, comparing and rendering it stay within the
+    recursion limit; one level more is refused."""
+    f = parse_formula(chain(MAX_DEPTH))
+    assert parse_formula(format_formula(f)) == f
+    assert hash(f) == hash(parse_formula(chain(MAX_DEPTH)))
+    with pytest.raises(FormulaParseError, match="nested too deeply"):
+        parse_formula(chain(MAX_DEPTH + 1))
+
+
+def test_parentheses_add_no_depth():
+    assert parse_formula("(" * 100 + "a" + ")" * 100) == a
+    with pytest.raises(FormulaParseError, match="nested too deeply"):
+        parse_formula("(" * 3000 + "a" + ")" * 3000)
 
 
 # -- formatting --------------------------------------------------------------

@@ -1,6 +1,6 @@
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from gradarg.kernel import (GradeParams, graded_neutrality, least_fixpoints,
                             lfp_from, saturation_bound, unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
                                JustificationMode, Semantics, _candidates,
-                               _family, _no_grounded, _select,
+                               _family, _maximal, _no_grounded, _satisfies,
                                complete_closure, enumerate_extensions,
                                grounded_by_construction,
                                is_l_conflict_free, is_lmn_admissible,
@@ -183,6 +183,16 @@ def _subsets_by_popcount(n: int) -> Iterator[int]:
             c = x & -x
             r = x + c
             x = (((r ^ x) >> 2) // c) | r
+
+
+def _select(fw: ArgumentationFramework, semantics: Semantics,
+            params: GradeParams, candidates: Iterable[int]) -> ExtensionFamily:
+    """The family of the candidates that satisfy the semantics'
+    predicate; for preferred, the maximal complete ones."""
+    hits = [x for x in candidates if _satisfies(fw, semantics, params, x)]
+    if semantics is Semantics.PREFERRED:
+        hits = _maximal(hits)
+    return _family(fw, semantics, params, hits)
 
 
 def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
