@@ -1,13 +1,13 @@
 """Executable checks for properties of the graded argument rankings.
 
-Most checkers are one call to _first_failure: it ranks the framework
-with absolute_rank under each semantics in turn, tests the postulate's
-required relation on the checker's pairs in order, and builds the
-verdict. Violated verdicts carry the first failing pair and the
-relation actually observed so the claim can be re-verified from the
-witness alone. check_abstraction and check_independence keep their own
-loops: each compares two rankings (of a renamed copy, or of a connected
-component) rather than testing one.
+Every checker ends in one call to _first_failure: it ranks the
+framework with absolute_rank under each semantics in turn, asks the
+checker for that order's pair test, runs it on the checker's pairs in
+order, and builds the verdict. Violated verdicts carry the first
+failing pair and the relation that order gives it, so the claim can be
+re-verified from the witness alone. A test may rank more: abstraction
+ranks a renamed copy, and independence each connected component, and
+both compare with the order of the framework itself.
 
 check_named_counterexamples runs the whole battery on fixed graphs with
 known outcomes; corpus_checks sweeps random graphs for the properties
@@ -25,8 +25,7 @@ from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
                         disjoint_union, random_framework, relabel)
 from .kernel import unattacked_closure
-from .ranking import (ArgumentPartialOrder, JustificationSignature,
-                      Relation, _grid, absolute_rank, absolute_signature)
+from .ranking import ArgumentPartialOrder, Relation, absolute_rank
 from .semantics import Semantics
 
 RANKED_SEMANTICS = (Semantics.GROUNDED, Semantics.PREFERRED, Semantics.STABLE)
@@ -61,88 +60,71 @@ class PostulateVerdict:
         return text
 
 
-def _holds(name: str, semantics: Sequence[Semantics]) -> PostulateVerdict:
-    return PostulateVerdict(name, tuple(semantics), CheckResult.HOLDS)
-
-
-def _violated(name: str, semantics: Semantics,
-              framework: ArgumentationFramework, pair: tuple[str, str],
-              relation: Relation, detail: str) -> PostulateVerdict:
-    witness = PostulateWitness(framework, semantics, pair, relation, detail)
-    return PostulateVerdict(name, (semantics,), CheckResult.VIOLATED, witness)
-
-
 def _pairs(labels: Sequence[str]) -> list[tuple[str, str]]:
     return [(x, y) for x in labels for y in labels if x != y]
+
+
+_PairTest = Callable[[str, str], bool]
 
 
 def _first_failure(name: str, framework: ArgumentationFramework,
                    semantics: Sequence[Semantics],
                    pairs: Sequence[tuple[str, str]],
-                   required: Callable[[ArgumentPartialOrder, str, str], bool],
+                   required: Callable[[Semantics, ArgumentPartialOrder],
+                                      _PairTest],
                    detail: str) -> PostulateVerdict:
-    """Rank the framework under each semantics in turn and test
-    required(order, x, y) on each pair in order. The first failing pair
-    becomes the witness, its detail the template filled with x, y, sem
-    and rel; labels enter only as format arguments, never as template
-    text, since they may contain braces."""
+    """Rank the framework under each semantics in turn, ask
+    required(sem, order) for that order's pair test, and run the test on
+    each pair in order. The first failing pair becomes the witness with
+    the relation the ranked order gives it, so absolute_rank(framework,
+    sem).compare(x, y) re-checks the claim; its detail is the template
+    filled with x, y, sem and rel. Labels enter only as format
+    arguments, never as template text, since they may contain braces."""
     for sem in semantics:
         order = absolute_rank(framework, sem)
+        test = required(sem, order)
         for x, y in pairs:
-            if not required(order, x, y):
+            if not test(x, y):
                 rel = order.compare(x, y)
-                return _violated(name, sem, framework, (x, y), rel,
-                                 detail.format(x=x, y=y, sem=sem.value,
-                                               rel=rel.name))
-    return _holds(name, semantics)
+                witness = PostulateWitness(
+                    framework, sem, (x, y), rel,
+                    detail.format(x=x, y=y, sem=sem.value, rel=rel.name))
+                return PostulateVerdict(name, (sem,), CheckResult.VIOLATED,
+                                        witness)
+    return PostulateVerdict(name, tuple(semantics), CheckResult.HOLDS)
 
 
-def _x_above(order: ArgumentPartialOrder, x: str, y: str) -> bool:
-    return order.strictly_above(x, y)
+def _x_above(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
+    return order.strictly_above
 
 
-def _y_above(order: ArgumentPartialOrder, x: str, y: str) -> bool:
-    return order.strictly_above(y, x)
+def _y_above(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
+    return lambda x, y: order.strictly_above(y, x)
 
 
 def check_abstraction(framework: ArgumentationFramework,
                       permutation: Mapping[str, str] | None = None,
                       semantics: Sequence[Semantics] = RANKED_SEMANTICS,
                       ) -> PostulateVerdict:
-    """Renaming arguments must not change any pairwise relation."""
+    """Renaming arguments must not change any pairwise relation. The
+    renamed copy lists its arguments in sorted label order, so they can
+    move to other indices too and a ranking that reads indices rather
+    than attacks fails the check."""
     labels = framework.labels
     if permutation is None:
         permutation = {labels[i]: labels[(i + 1) % len(labels)]
                        for i in range(len(labels))}
     renamed = relabel(framework, dict(permutation))
-    for sem in semantics:
-        original = absolute_rank(framework, sem)
+    renamed = ArgumentationFramework(sorted(renamed.labels), renamed.attacks)
+
+    def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
         mapped = absolute_rank(renamed, sem)
-        for x, y in _pairs(labels):
-            before = original.compare(x, y)
-            after = mapped.compare(permutation[x], permutation[y])
-            if before is not after:
-                return _violated(
-                    "abstraction", sem, framework, (x, y), after,
-                    f"{x} vs {y} is {before.name} but the renamed pair "
-                    f"is {after.name} under {sem.value}")
-    return _holds("abstraction", semantics)
+        return lambda x, y: order.compare(x, y) is mapped.compare(
+            permutation[x], permutation[y])
 
-
-def _constrained(signatures: dict[str, JustificationSignature],
-                 ) -> dict[str, int]:
-    """Each signature's bits at the triples (l, m, n) with l >= m and
-    n >= m; the signatures share one bound."""
-    bound = max((sig.bound for sig in signatures.values()), default=1)
-    keep = sum(1 << i for i, (l, m, n) in enumerate(_grid(bound, 3))
-               if l >= m <= n)
-    return {label: sig.bits & keep for label, sig in signatures.items()}
-
-
-def _ranks(signatures: dict[str, int], x: str, y: str, strict: bool) -> bool:
-    """x is at least as good as y, or strictly better when strict."""
-    return (signatures[y] & ~signatures[x] == 0
-            and not (strict and signatures[x] & ~signatures[y] == 0))
+    return _first_failure(
+        "abstraction", framework, semantics, _pairs(labels), required,
+        "{x} vs {y} is {rel} but the renamed pair is not under {sem}")
 
 
 def check_independence(framework: ArgumentationFramework,
@@ -152,25 +134,23 @@ def check_independence(framework: ArgumentationFramework,
     """A relation established inside a connected component must survive
     in the whole framework. Compared over the triples where the
     semantics is guaranteed to exist."""
-    name = "strict independence" if strict else "independence"
     components = connected_components(framework)
-    for sem in semantics:
-        signatures = absolute_signature(framework, sem)
-        whole = _constrained(signatures)
+    ranks = (ArgumentPartialOrder.strictly_above if strict
+             else ArgumentPartialOrder.at_least)
+
+    def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
+        whole, part = order._existence_safe(), {}
         for component in components:
-            part = _constrained(absolute_signature(component, sem))
-            for x, y in _pairs(component.labels):
-                if (_ranks(part, x, y, strict)
-                        and not _ranks(whole, x, y, strict)):
-                    form = "strictly above" if strict else "at least"
-                    observed = ArgumentPartialOrder(
-                        framework, signatures,
-                        f"absolute:{sem.value}").compare(x, y)
-                    return _violated(
-                        name, sem, framework, (x, y), observed,
-                        f"{x} is {form} {y} in its component but not in "
-                        f"the whole framework under {sem.value}")
-    return _holds(name, semantics)
+            cut = absolute_rank(component, sem)._existence_safe()
+            part.update(dict.fromkeys(component.labels, cut))
+        return lambda x, y: (ranks(whole, x, y)
+                             or not ranks(part[x], x, y))
+
+    return _first_failure(
+        "strict independence" if strict else "independence", framework,
+        semantics, [p for c in components for p in _pairs(c.labels)],
+        required, f"{{x}} is {'strictly above' if strict else 'at least'} "
+        "{y} in its component but not in the whole framework under {sem}")
 
 
 def check_strict_independence(framework: ArgumentationFramework,
@@ -201,7 +181,8 @@ def check_unattacked_equivalence(framework: ArgumentationFramework,
     return _first_failure(
         "unattacked equivalence", framework, semantics,
         _pairs(unattacked_closure(framework).labels),
-        lambda order, x, y: order.compare(x, y) is Relation.EQUIVALENT,
+        lambda sem, order: lambda x, y: (order.compare(x, y)
+                                         is Relation.EQUIVALENT),
         "unattacked {x} and {y} are {rel} under {sem}")
 
 
@@ -244,8 +225,8 @@ def check_quality_precedence(framework: ArgumentationFramework,
     then x must be strictly above y."""
     attackers = _attacker_labels(framework)
 
-    def required(order: ArgumentPartialOrder, x: str, y: str) -> bool:
-        return order.strictly_above(x, y) or not any(
+    def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
+        return lambda x, y: order.strictly_above(x, y) or not any(
             all(order.strictly_above(q, p) for p in attackers[x])
             for q in attackers[y])
 
@@ -279,17 +260,19 @@ def check_counter_transitivity(framework: ArgumentationFramework,
     the domination is strict in count or in some matched pair."""
     attackers = _attacker_labels(framework)
 
-    def required(order: ArgumentPartialOrder, x: str, y: str) -> bool:
-        if order.strictly_above(x, y) if strict else order.at_least(x, y):
-            return True
-        ax, ay = attackers[x], attackers[y]
-        # permutations yields nothing when y has fewer attackers than x
-        return not any(
-            all(order.at_least(q, p) for p, q in zip(ax, image))
-            and (not strict or len(ay) > len(ax)
-                 or any(order.strictly_above(q, p)
-                        for p, q in zip(ax, image)))
-            for image in permutations(ay, len(ax)))
+    def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
+        def test(x: str, y: str) -> bool:
+            if order.strictly_above(x, y) if strict else order.at_least(x, y):
+                return True
+            ax, ay = attackers[x], attackers[y]
+            # permutations yields nothing when y has fewer attackers than x
+            return not any(
+                all(order.at_least(q, p) for p, q in zip(ax, image))
+                and (not strict or len(ay) > len(ax)
+                     or any(order.strictly_above(q, p)
+                            for p, q in zip(ax, image)))
+                for image in permutations(ay, len(ax)))
+        return test
 
     return _first_failure(
         "strict counter-transitivity" if strict else "counter-transitivity",

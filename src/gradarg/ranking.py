@@ -89,6 +89,18 @@ class ArgumentPartialOrder:
     def strictly_above(self, a: str, b: str) -> bool:
         return self.compare(a, b) is Relation.ABOVE
 
+    def _existence_safe(self) -> ArgumentPartialOrder:
+        """This absolute order cut to the triples (l, m, n) with l >= m
+        and n >= m, where ``GradeParams.existence_safe`` holds: for each
+        (l, m) with l >= m, the run of bits n = m..K."""
+        k = max((s.bound for s in self.signatures.values()), default=1)
+        keep = sum(
+            ((1 << (k - m + 1)) - 1) << (((l - 1) * k + m - 1) * k + m - 1)
+            for l in range(1, k + 1) for m in range(1, l + 1))
+        return ArgumentPartialOrder(self.framework, {
+            lab: JustificationSignature(lab, s.bits & keep, s.bound, s.kind)
+            for lab, s in self.signatures.items()}, self.kind)
+
     def equivalence_classes(self) -> tuple[tuple[str, ...], ...]:
         """Classes of arguments with identical signatures, largest
         signature first, ties broken by first label. Computed once per

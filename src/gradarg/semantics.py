@@ -248,7 +248,8 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     Valid at every parameter triple; exponential in the argument count
     in the worst case, hence the cap. The family is ``_families`` at the
     one point l, from one-point ``least_fixpoints`` walks at (m, n) and,
-    when a search needs the greatest fixpoint, at (n, m). Every candidate
+    when a search needs the greatest fixpoint and m != n, at (n, m); at
+    m == n the swapped grade is the same grade. Every candidate
     is checked against the predicate itself, so the answers are those of
     a full subset scan. Extensions come out sorted by (size, bitmask).
     """
@@ -257,7 +258,8 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     [lfp] = least_fixpoints(fw, n, range(m, m + 1))
     [family] = _families(
         fw, semantics, m, n, range(l, l + 1), lfp,
-        lambda a, b: least_fixpoints(fw, b, range(a, a + 1))[0][0])
+        lambda a, b: lfp[0] if a == b else least_fixpoints(
+            fw, b, range(a, a + 1))[0][0])
     if semantics is Semantics.GROUNDED and not family:
         return _no_grounded(fw, params, lfp[0])
     return _family(fw, semantics, params, family)

@@ -1,9 +1,16 @@
+import random
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
 
-from gradarg import fixtures
-from gradarg.framework import (ArgumentationFramework, disjoint_union,
-                               random_framework)
+import oracles as oc
+from conftest import labels_attacks, seeded_corpus
+from gradarg import fixtures, postulates, ranking
+from gradarg.framework import (ArgumentationFramework, connected_components,
+                               disjoint_union, random_framework, relabel)
 from gradarg.postulates import (CheckResult, EXPECTED_BATTERY,
+                                RANKED_SEMANTICS,
                                 check_abstraction, check_attack_path_addition,
                                 check_attack_path_increase,
                                 check_cardinality_precedence,
@@ -17,7 +24,8 @@ from gradarg.postulates import (CheckResult, EXPECTED_BATTERY,
                                 check_unattacked_equivalence,
                                 check_void_precedence, corpus_checks,
                                 named_counterexamples_match)
-from gradarg.ranking import Relation, absolute_rank
+from gradarg.ranking import (ArgumentPartialOrder, JustificationSignature,
+                            Relation, absolute_rank)
 from gradarg.semantics import Semantics
 
 BATTERY_WITNESSES = {
@@ -98,12 +106,31 @@ def _random_graph_verdicts():
                     check_unattacked_equivalence(fw))
 
 
-def test_violated_witnesses_reverify_through_absolute_rank():
+def _label_sensitive_rank(fw, semantics):
+    """The true ranking of a framework with an argument labelled a1, and
+    all arguments alike otherwise."""
+    if "a1" in fw.labels:
+        return absolute_rank(fw, semantics)
+    flat = {lab: JustificationSignature(lab, 0, 1, "flat")
+            for lab in fw.labels}
+    return ArgumentPartialOrder(fw, flat, "flat")
+
+
+def _label_sensitive_abstraction(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(postulates, "absolute_rank", _label_sensitive_rank)
+        return check_abstraction(fixtures.single_chain(),
+                                 {"a1": "x", "b1": "y", "c1": "z"})
+
+
+def test_violated_witnesses_reverify_through_absolute_rank(monkeypatch):
     """A Violated verdict must be checkable from its witness alone."""
     violated = [v for v in (*check_named_counterexamples(),
-                            *_random_graph_verdicts())
+                            *_random_graph_verdicts(),
+                            _label_sensitive_abstraction(monkeypatch))
                 if v.result is CheckResult.VIOLATED]
-    assert len(violated) == 10 + 49
+    assert len(violated) == 10 + 49 + 1
+    assert violated[-1].postulate == "abstraction"
     for verdict in violated:
         w = verdict.witness
         order = absolute_rank(w.framework, w.semantics)
@@ -139,6 +166,104 @@ def test_abstraction_on_rotation_and_identity():
     assert check_abstraction(fw, rotation).result is CheckResult.HOLDS
     identity = {lab: lab for lab in fw.labels}
     assert check_abstraction(fw, identity).result is CheckResult.HOLDS
+
+
+def test_abstraction_catches_a_ranking_that_reads_indices(monkeypatch):
+    """The renamed copy lists its arguments in sorted label order, so a
+    ranking that treats index 0 specially breaks abstraction."""
+    real = ranking.absolute_signature
+
+    def biased(fw, semantics, max_args=None):
+        sigs = real(fw, semantics, max_args)
+        first = sigs[fw.labels[0]]
+        sigs[first.argument] = replace(first, bits=first.bits | 1)
+        return sigs
+
+    monkeypatch.setattr(ranking, "absolute_signature", biased)
+    abstraction = [v for v in corpus_checks(30, 0)
+                   if v.postulate == "abstraction"]
+    assert any(v.result is CheckResult.VIOLATED for v in abstraction)
+
+
+def test_abstraction_witness_names_the_original_pair(monkeypatch):
+    verdict = _label_sensitive_abstraction(monkeypatch)
+    assert verdict.result is CheckResult.VIOLATED
+    w = verdict.witness
+    assert w.framework == fixtures.single_chain()
+    assert w.pair == ("a1", "b1")
+    assert w.relation is absolute_rank(w.framework, w.semantics).compare(
+        "a1", "b1")
+    assert w.detail == (
+        f"a1 vs b1 is {w.relation.name} but the renamed pair is not under "
+        f"{w.semantics.value}")
+
+
+def _oracle_relation(sig, x, y):
+    above, below = sig[y] <= sig[x], sig[x] <= sig[y]
+    if above and below:
+        return Relation.EQUIVALENT
+    if above or below:
+        return Relation.ABOVE if above else Relation.BELOW
+    return Relation.INCOMPARABLE
+
+
+@lru_cache(maxsize=None)
+def _oracle_signature(labels, attacks, semantics):
+    return oc.absolute_signature(labels, attacks, semantics.value)
+
+
+def _oracle_independence(fw, strict):
+    """check_independence rebuilt from the oracle's grade sets, each
+    cut to the triples with l >= m <= n: (result, semantics, pair,
+    relation in the uncut whole order)."""
+    def ranks(sig, x, y):
+        return sig[y] <= sig[x] and not (strict and sig[x] <= sig[y])
+
+    def cut(sig):
+        return {lab: {(l, m, n) for l, m, n in grades if l >= m <= n}
+                for lab, grades in sig.items()}
+
+    for sem in RANKED_SEMANTICS:
+        full = _oracle_signature(*labels_attacks(fw), sem)
+        whole = cut(full)
+        for component in connected_components(fw):
+            part = cut(_oracle_signature(*labels_attacks(component), sem))
+            for x in component.labels:
+                for y in component.labels:
+                    if (x != y and ranks(part, x, y)
+                            and not ranks(whole, x, y)):
+                        return (CheckResult.VIOLATED, sem, (x, y),
+                                _oracle_relation(full, x, y))
+    return CheckResult.HOLDS, None, None, None
+
+
+def _seeded_union(seed):
+    """The disjoint union of two random frameworks of 1-4 arguments."""
+    rng = random.Random(seed)
+    a, b = (random_framework(rng.randint(1, 4),
+                             rng.choice((0.2, 0.35, 0.5)),
+                             rng.randrange(10 ** 6)) for _ in range(2))
+    return disjoint_union(a, relabel(b, {x: "b" + x for x in b.labels}))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_independence_matches_the_oracle(strict):
+    # on union 695 the verdict changes if the cut keeps n < m, and on
+    # union 713 if it keeps l < m
+    corpus = [*seeded_corpus(14, sizes=(3, 6), edge_prob=0.2, seed0=7100),
+              fixtures.self_loop_and_edge(), _seeded_union(695),
+              _seeded_union(713)]
+    assert sum(len(connected_components(fw)) > 1 for fw in corpus) >= 8
+    results = []
+    for fw in corpus:
+        verdict = check_independence(fw, strict)
+        w = verdict.witness
+        got = (verdict.result, *((None,) * 3 if w is None
+                                 else (w.semantics, w.pair, w.relation)))
+        assert got == _oracle_independence(fw, strict)
+        results.append(verdict.result)
+    if strict:
+        assert set(results) == {CheckResult.HOLDS, CheckResult.VIOLATED}
 
 
 def test_independence_non_strict_holds_where_strict_fails():
