@@ -2,6 +2,7 @@ import pytest
 
 import oracles as oc
 from conftest import random_kb_text
+from gradarg import instantiate
 from gradarg.errors import (AtomBoundError, KnowledgeBaseError,
                             TooLargeError)
 from gradarg.instantiate import (ClassicalArgument, KnowledgeBase,
@@ -252,6 +253,30 @@ def test_correspondence_examples():
     assert formula_sets(two.stable_premise_sets) == formula_sets(
         two.subtheory_premise_sets)
     assert len(two.subtheory_premise_sets) == 2
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda found: found[1:],
+     "extra stable premise sets: {!a | !b, a}"),
+    (lambda found: found + (frozenset(map(parse_formula, ("a", "!(c & d)"))),),
+     "unmatched subtheories: {!(c & d), a}"),
+    (lambda found: (frozenset({parse_formula("q")}),),
+     "extra stable premise sets: {!a | !b, a}; {!a | !b, b}; "
+     "unmatched subtheories: {q}"),
+])
+def test_correspondence_mismatch_detail(monkeypatch, change, detail):
+    """A mismatch names each extra and each unmatched set, braced, in
+    text order; the report's premise sets come sorted by their text."""
+    real = instantiate.preferred_subtheories
+    monkeypatch.setattr(instantiate, "preferred_subtheories",
+                        lambda kb: change(real(kb)))
+    report = ps_correspondence_check(parse_kb(TWO_PS_BASE))
+    assert not report.matches
+    assert report.stable_equals_preferred
+    assert report.detail == detail
+    assert [[format_formula(f) for f in sorted(s, key=format_formula)]
+            for s in report.stable_premise_sets] == [
+        ["!a | !b", "a"], ["!a | !b", "b"]]
 
 
 def test_correspondence_on_random_corpus():
