@@ -17,9 +17,10 @@ from typing import Any, Callable, Sequence
 from .errors import (FormulaParseError, FrameworkParseError, GradargError,
                      KnowledgeBaseError)
 from .formats import parse, write
-from .framework import ArgumentSet, ArgumentationFramework
-from .instantiate import (build_defeat_graph, graded_inference, parse_kb,
-                          preferred_subtheories, ps_correspondence_check)
+from .framework import ArgumentationFramework
+from .instantiate import (_braced, _texts, build_defeat_graph,
+                          graded_inference, parse_kb, preferred_subtheories,
+                          ps_correspondence_check)
 from .kernel import GradeParams
 from .logic import format_formula, parse_formula
 from .postulates import (CheckResult, PostulateVerdict, corpus_checks,
@@ -68,10 +69,6 @@ def _emit(command: str, params: dict[str, Any], result: Any,
                       "witnesses": witnesses}, indent=2))
 
 
-def _set_labels(x: ArgumentSet) -> list[str]:
-    return [arg.label for arg in x]
-
-
 def _add_io_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", "-i", default="-",
                      help="framework file, or - for stdin (default)")
@@ -91,13 +88,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         witnesses.append({
             "clause": family.witness.clause,
             "arguments": (None if family.witness.arguments is None
-                          else _set_labels(family.witness.arguments))})
+                          else family.witness.arguments.labels)})
     if args.output == "json":
         _emit("solve",
               {"semantics": args.semantics, "l": args.l, "m": args.m,
                "n": args.n},
               {"existence": family.existence.value,
-               "extensions": [_set_labels(e) for e in family.extensions]},
+               "extensions": [e.labels for e in family.extensions]},
               witnesses)
     else:
         if family.existence is Existence.FOUND:
@@ -215,10 +212,6 @@ def _cmd_postulates(args: argparse.Namespace) -> int:
     return 0 if matched and corpus_ok else 1
 
 
-def _formula_set(formulas) -> str:
-    return "{" + ", ".join(sorted(format_formula(f) for f in formulas)) + "}"
-
-
 def _cmd_instantiate(args: argparse.Namespace) -> int:
     kb = parse_kb(_read_input(args.kb))
     base_params = {"kb": args.kb, "emit": args.emit}
@@ -226,31 +219,27 @@ def _cmd_instantiate(args: argparse.Namespace) -> int:
         subtheories = preferred_subtheories(kb)
         if args.output == "json":
             _emit("instantiate", base_params,
-                  {"subtheories": [sorted(map(format_formula, s))
-                                   for s in subtheories]}, [])
+                  {"subtheories": [_texts(s) for s in subtheories]}, [])
         else:
             for s in subtheories:
-                print(_formula_set(s))
+                print(_braced(s))
         return 0
     if args.emit == "graph":
         graph = build_defeat_graph(kb, max_args=args.max_args)
+        labelled = zip(graph.framework.labels, graph.arguments)
         if args.output == "json":
             _emit("instantiate", base_params,
                   {"arguments": {
-                      label: {"premises": sorted(
-                          format_formula(f)
-                          for f in graph.argument_of(label).premises),
-                          "claim": format_formula(
-                              graph.argument_of(label).claim)}
-                      for label in graph.framework.labels},
+                      label: {"premises": _texts(arg.premises),
+                              "claim": format_formula(arg.claim)}
+                      for label, arg in labelled},
                    "defeats": [list(p) for p in graph.framework.attacks],
                    "attacks": [list(p) for p in sorted(graph.attack_pairs)]},
                   [])
         else:
             sys.stdout.write(write(graph.framework, args.graph_format))
-            for label in graph.framework.labels:
-                print(f"{label} = {graph.argument_of(label)}",
-                      file=sys.stderr)
+            for label, arg in labelled:
+                print(f"{label} = {arg}", file=sys.stderr)
         return 0
     if args.emit == "check":
         report = ps_correspondence_check(kb, max_args=args.max_args)
@@ -258,11 +247,10 @@ def _cmd_instantiate(args: argparse.Namespace) -> int:
             _emit("instantiate", base_params,
                   {"matches": report.matches,
                    "stable_equals_preferred": report.stable_equals_preferred,
-                   "subtheories": [sorted(map(format_formula, s))
-                                   for s in report.subtheory_premise_sets],
+                   "subtheories": [
+                       _texts(s) for s in report.subtheory_premise_sets],
                    "stable_premise_sets": [
-                       sorted(map(format_formula, s))
-                       for s in report.stable_premise_sets]},
+                       _texts(s) for s in report.stable_premise_sets]},
                   [{"detail": report.detail}])
         else:
             print(str(report.matches).lower())
@@ -280,8 +268,7 @@ def _cmd_instantiate(args: argparse.Namespace) -> int:
               {**base_params, "goal": format_formula(report.goal),
                "mode": args.mode, "l": args.l, "m": args.m, "n": args.n},
               {"holds": report.holds,
-               "premise_sets": [sorted(map(format_formula, s))
-                                for s in report.premise_sets]},
+               "premise_sets": [_texts(s) for s in report.premise_sets]},
               [])
     else:
         print(str(report.holds).lower())

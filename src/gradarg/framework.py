@@ -275,6 +275,13 @@ def random_framework(n_args: int, edge_prob: float,
     return ArgumentationFramework(labels, attacks)
 
 
+def _mask(fw: ArgumentationFramework, x: ArgumentSet) -> int:
+    """The bitmask of x, which must be a set of fw's arguments."""
+    if x.framework != fw:
+        raise ValueError("argument set belongs to a different framework")
+    return x.mask
+
+
 def _reach(step: Callable[[int], int], frontier: int,
            reached: int = 0) -> int:
     """The union of ``reached`` and every index that ``step`` leads to

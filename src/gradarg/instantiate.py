@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import AtomBoundError, FormulaParseError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet
@@ -86,10 +86,18 @@ def parse_kb(text: str) -> KnowledgeBase:
             raise KnowledgeBaseError(
                 f"formula already given on line {first}", lineno)
         by_level.setdefault(level, []).append(formula)
-    if not by_level:
-        raise KnowledgeBaseError("empty knowledge base")
     return KnowledgeBase(tuple(
         tuple(by_level[k]) for k in sorted(by_level)))
+
+
+def _texts(formulas: Iterable[Formula]) -> list[str]:
+    """A formula set's canonical text: its formulas rendered and sorted.
+    It is also the order premise sets are listed in."""
+    return sorted(map(format_formula, formulas))
+
+
+def _braced(formulas: Iterable[Formula]) -> str:
+    return "{" + ", ".join(_texts(formulas)) + "}"
 
 
 def _conjoin(tables: Sequence[int], mask: int, rows: int) -> int:
@@ -149,8 +157,7 @@ class ClassicalArgument:
         return self.premises == frozenset((self.claim,))
 
     def __str__(self) -> str:
-        inner = ", ".join(sorted(format_formula(f) for f in self.premises))
-        return f"({{{inner}}}, {format_formula(self.claim)})"
+        return f"({_braced(self.premises)}, {format_formula(self.claim)})"
 
 
 def _minimal_entailing(tables: Sequence[int], rows: int,
@@ -275,28 +282,18 @@ def ps_correspondence_check(kb: KnowledgeBase,
     if sets_match and same_family:
         detail = "premise sets of stable extensions match the subtheories"
     elif not sets_match:
-        only_stable = stable_sets - subtheories
-        only_ps = subtheories - stable_sets
-        parts = []
-        if only_stable:
-            parts.append("extra stable premise sets: " + "; ".join(
-                sorted("{" + ", ".join(sorted(map(format_formula, s))) + "}"
-                       for s in only_stable)))
-        if only_ps:
-            parts.append("unmatched subtheories: " + "; ".join(
-                sorted("{" + ", ".join(sorted(map(format_formula, s))) + "}"
-                       for s in only_ps)))
-        detail = "; ".join(parts)
+        detail = "; ".join(
+            f"{title}: " + "; ".join(sorted(map(_braced, sets)))
+            for title, sets in (
+                ("extra stable premise sets", stable_sets - subtheories),
+                ("unmatched subtheories", subtheories - stable_sets))
+            if sets)
     else:
         detail = "stable and preferred families differ on the defeat graph"
-
-    def sort_key(s: frozenset[Formula]) -> tuple[str, ...]:
-        return tuple(sorted(format_formula(f) for f in s))
-
     return CorrespondenceReport(
         matches=sets_match and same_family,
-        subtheory_premise_sets=tuple(sorted(subtheories, key=sort_key)),
-        stable_premise_sets=tuple(sorted(stable_sets, key=sort_key)),
+        subtheory_premise_sets=tuple(sorted(subtheories, key=_texts)),
+        stable_premise_sets=tuple(sorted(stable_sets, key=_texts)),
         stable_equals_preferred=same_family,
         detail=detail)
 
@@ -323,8 +320,7 @@ def graded_inference(kb: KnowledgeBase, params: GradeParams, goal: Formula,
     graph = build_defeat_graph(kb, max_args)
     family = enumerate_extensions(graph.framework, Semantics.PREFERRED,
                                   params, max_args=max_args)
-    sets = sorted(_premise_sets(graph, family.extensions),
-                  key=lambda s: tuple(sorted(map(format_formula, s))))
+    sets = sorted(_premise_sets(graph, family.extensions), key=_texts)
     answers = [_conjoin(tables, sum(1 << index[f] for f in s), rows)
                & refuted == 0 for s in sets]
     holds = (all(answers) if mode is JustificationMode.SCEPTICAL

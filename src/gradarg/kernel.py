@@ -48,7 +48,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import NotExpandableError
-from .framework import ArgumentationFramework, ArgumentSet
+from .framework import ArgumentationFramework, ArgumentSet, _mask
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ def graded_neutrality(fw: ArgumentationFramework, l: int,
     """Arguments with fewer than l attackers inside x."""
     if l < 1:
         raise ValueError("l must be positive")
-    if x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
-    return ArgumentSet(fw, neutrality_mask(fw, l, x.mask))
+    return ArgumentSet(fw, neutrality_mask(fw, l, _mask(fw, x)))
 
 
 def graded_defense(fw: ArgumentationFramework, m: int, n: int,
@@ -220,9 +218,7 @@ def graded_defense(fw: ArgumentationFramework, m: int, n: int,
     counter-attack at least n times."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
-    return ArgumentSet(fw, defense_mask(fw, m, n, x.mask))
+    return ArgumentSet(fw, defense_mask(fw, m, n, _mask(fw, x)))
 
 
 def saturation_bound(fw: ArgumentationFramework) -> int:
@@ -265,9 +261,7 @@ def _stream(fw: ArgumentationFramework, m: int, n: int, x: ArgumentSet,
     """Check that x defends itself at grade (m, n), then record the
     defense orbit at ``grade`` from ``top``. The precondition makes that
     orbit monotone, so its repeat is the stage just before it."""
-    if x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
-    if x.mask & ~defense_mask(fw, m, n, x.mask):
+    if _mask(fw, x) & ~defense_mask(fw, m, n, x.mask):
         raise NotExpandableError(
             f"start set {x} is not contained in its own grade-({m},{n}) defense")
     stages = tuple(ArgumentSet(fw, s)

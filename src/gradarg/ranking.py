@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterator, Sequence
 
-from .framework import ArgumentationFramework, ArgumentSet
+from .framework import ArgumentationFramework, ArgumentSet, _mask
 from .kernel import (defense_mask, defense_orbit, least_fixpoints,
                      saturation_bound)
 from .semantics import Semantics, _check_cap, _families
@@ -182,9 +182,7 @@ def contextual_signature(
     least fixpoint containing the context, and one ``least_fixpoints``
     walk gives those for the rest of the column.
     """
-    start = 0 if x is None else x.mask
-    if x is not None and x.framework != fw:
-        raise ValueError("argument set belongs to a different framework")
+    start = 0 if x is None else _mask(fw, x)
     k = saturation_bound(fw)
     masks = [0] * (k * k)
     for n in range(1, k + 1):

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
 from .framework import (ArgumentationFramework, ArgumentSet,
-                        DEFAULT_MAX_ARGS, _reach)
+                        DEFAULT_MAX_ARGS, _mask, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
                      least_fixpoints, least_tolerance, lfp_from,
                      neutrality_mask)
@@ -132,7 +132,7 @@ def _check_cap(count: int, max_args: int | None, what: str = "arguments",
 
 def is_l_conflict_free(fw: ArgumentationFramework, l: int,
                        x: ArgumentSet) -> bool:
-    return least_tolerance(fw, x.mask) <= l
+    return least_tolerance(fw, _mask(fw, x)) <= l
 
 
 def _tolerance(fw: ArgumentationFramework, semantics: Semantics, m: int,
@@ -160,12 +160,12 @@ def _satisfies(fw: ArgumentationFramework, semantics: Semantics,
 
 def is_lmn_admissible(fw: ArgumentationFramework, params: GradeParams,
                       x: ArgumentSet) -> bool:
-    return _satisfies(fw, Semantics.ADMISSIBLE, params, x.mask)
+    return _satisfies(fw, Semantics.ADMISSIBLE, params, _mask(fw, x))
 
 
 def is_lmn_complete(fw: ArgumentationFramework, params: GradeParams,
                     x: ArgumentSet) -> bool:
-    return _satisfies(fw, Semantics.COMPLETE, params, x.mask)
+    return _satisfies(fw, Semantics.COMPLETE, params, _mask(fw, x))
 
 
 def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
@@ -173,7 +173,7 @@ def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
     """Stable: a defense fixpoint that is also a fixpoint of m-neutrality
     (so it keeps everything it fails to attack m times out) and is
     l-conflict-free."""
-    return _satisfies(fw, Semantics.STABLE, params, x.mask)
+    return _satisfies(fw, Semantics.STABLE, params, _mask(fw, x))
 
 
 # -- enumeration --------------------------------------------------------
@@ -321,13 +321,10 @@ def grounded_by_construction(fw: ArgumentationFramework,
                              params: GradeParams) -> ExtensionFamily:
     """The least complete extension, built by iterating defense from
     the empty set; only defined on the existence-safe region."""
-    limit = _closure(fw, params, fw.empty_set()).limit
-    if least_tolerance(fw, limit.mask) > params.l:
-        return ExtensionFamily(
-            Semantics.GROUNDED, params, (), Existence.NONE_EXISTS,
-            Witness("least defense fixpoint is not l-conflict-free", limit))
-    return ExtensionFamily(Semantics.GROUNDED, params, (limit,),
-                           Existence.FOUND)
+    least = _closure(fw, params, fw.empty_set()).limit.mask
+    if least_tolerance(fw, least) > params.l:
+        return _no_grounded(fw, params, least)
+    return _family(fw, Semantics.GROUNDED, params, (least,))
 
 
 def complete_closure(fw: ArgumentationFramework, params: GradeParams,

@@ -180,9 +180,11 @@ def test_abstraction_catches_a_ranking_that_reads_indices(monkeypatch):
         return sigs
 
     monkeypatch.setattr(ranking, "absolute_signature", biased)
-    abstraction = [v for v in corpus_checks(30, 0)
-                   if v.postulate == "abstraction"]
-    assert any(v.result is CheckResult.VIOLATED for v in abstraction)
+    verdicts = corpus_checks(30, 0)
+    names = [v.postulate for v in verdicts]
+    assert len(names) == len(set(names))
+    [abstraction] = [v for v in verdicts if v.postulate == "abstraction"]
+    assert abstraction.result is CheckResult.VIOLATED
 
 
 def test_abstraction_witness_names_the_original_pair(monkeypatch):
@@ -274,6 +276,21 @@ def test_independence_non_strict_holds_where_strict_fails():
     assert strict.semantics == (Semantics.STABLE,)
     assert strict.witness.pair == ("b", "c")
     assert "in its component but not" in strict.witness.detail
+
+
+def test_independence_ranks_no_single_argument_component(monkeypatch):
+    """A one-argument component holds no pair, so it is not ranked."""
+    ranked = []
+    real = postulates.absolute_rank
+
+    def counting(fw, semantics):
+        ranked.append(fw.labels)
+        return real(fw, semantics)
+
+    monkeypatch.setattr(postulates, "absolute_rank", counting)
+    fw = fixtures.self_loop_and_edge()
+    assert check_independence(fw).result is CheckResult.HOLDS
+    assert ranked == [("a", "b", "c"), ("b", "c")] * 3
 
 
 def test_void_precedence_verdicts():

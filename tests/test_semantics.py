@@ -96,6 +96,27 @@ def test_predicates_match_oracle(seed, l, m, n, mask_seed):
             == oc.lmn_stable(labels, attacks, l, m, n, xs))
 
 
+@pytest.mark.parametrize("op", [
+    lambda fw, x: is_l_conflict_free(fw, 1, x),
+    lambda fw, x: is_lmn_admissible(fw, GradeParams(1, 1, 1), x),
+    lambda fw, x: is_lmn_complete(fw, GradeParams(1, 1, 1), x),
+    lambda fw, x: is_lmn_stable(fw, GradeParams(1, 1, 1), x),
+    lambda fw, x: complete_closure(fw, GradeParams(1, 1, 1), x),
+    lambda fw, x: preferred_by_reachability(fw, GradeParams(1, 1, 1), x),
+    lambda fw, x: stable_convergence_check(fw, GradeParams(1, 1, 1), x),
+], ids=["conflict-free", "admissible", "complete", "stable",
+        "complete-closure", "preferred-by-reachability",
+        "stable-convergence"])
+@pytest.mark.parametrize("label", ["w", "x", "y"])
+def test_predicates_and_constructions_reject_foreign_sets(op, label):
+    """A set of another framework is refused, not read as a mask: its
+    bits may name no argument here, or other arguments."""
+    fw = ArgumentationFramework(["a", "b"], [("a", "b")])
+    big = ArgumentationFramework(["w", "x", "y", "z"])
+    with pytest.raises(ValueError, match="different framework"):
+        op(fw, big.set_of([label]))
+
+
 # -- brute-force enumeration -----------------------------------------------------
 
 
