@@ -410,10 +410,11 @@ def named_counterexamples_match() -> tuple[bool, tuple[PostulateVerdict, ...]]:
 
 def corpus_checks(count: int = 30,
                   seed: int = 0) -> tuple[PostulateVerdict, ...]:
-    """Aggregate over a seeded random corpus of 3 to 6 arguments and
-    attack probability 0.25 the properties that must hold on every
-    framework. One verdict per property, in the order first checked; the
-    first violating framework, if any, becomes the witness."""
+    """Aggregate, over a seeded random corpus (3 to 6 arguments, each
+    attack drawn with probability 0.25), the properties that must hold on
+    every framework. One verdict per property, in the order first
+    checked; the first violating framework, if any, becomes the
+    witness."""
     found: dict[str, PostulateVerdict] = {}
 
     def record(verdict: PostulateVerdict) -> None:
