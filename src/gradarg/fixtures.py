@@ -99,17 +99,3 @@ def attack_chain(length: int, target: str = "y",
                 for i in range(1, length)]
     return ArgumentationFramework(labels, attacks)
 
-
-FIXTURES: dict[str, object] = {
-    "mutual_pair": mutual_pair,
-    "three_cycle": three_cycle,
-    "shared_target_chain": shared_target_chain,
-    "single_chain": single_chain,
-    "two_on_one": two_on_one,
-    "defended_two_on_one": defended_two_on_one,
-    "three_on_one_mixed_defense": three_on_one_mixed_defense,
-    "self_contradiction": self_contradiction,
-    "quality_precedence": quality_precedence,
-    "self_loop_and_edge": self_loop_and_edge,
-    "depth_chain_and_root_attack": depth_chain_and_root_attack,
-}

@@ -60,12 +60,13 @@ def parse_apx(text: str) -> ArgumentationFramework:
     seen: set[str] = set()
     attacks: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
         pos = 0
-        while pos < len(raw) and raw[pos:].strip():
-            match = _APX_FACT.match(raw, pos)
+        while pos < len(line):
+            match = _APX_FACT.match(line, pos)
             if not match:
                 raise FrameworkParseError(
-                    f"malformed fact near {raw[pos:].strip()[:30]!r}", lineno)
+                    f"malformed fact near {line[pos:].strip()[:30]!r}", lineno)
             kind, first, second = match.group(1), match.group(2), match.group(3)
             if kind == "arg":
                 if second is not None:

@@ -125,9 +125,6 @@ class ArgumentationFramework:
     def attackers_of(self, label: str) -> "ArgumentSet":
         return ArgumentSet(self, self._attacker_masks[self.index_of(label)])
 
-    def targets_of(self, label: str) -> "ArgumentSet":
-        return ArgumentSet(self, self._target_masks[self.index_of(label)])
-
     def defenders_of(self, label: str) -> "ArgumentSet":
         """Attackers of the attackers."""
         mask = 0
@@ -225,28 +222,15 @@ class ArgumentSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self)
 
-    def _check(self, other: "ArgumentSet") -> None:
-        if other.framework != self.framework:
-            raise ValueError("argument sets belong to different frameworks")
-
     def union(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check(other)
-        return ArgumentSet(self.framework, self.mask | other.mask)
-
-    def intersection(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check(other)
-        return ArgumentSet(self.framework, self.mask & other.mask)
-
-    def difference(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check(other)
-        return ArgumentSet(self.framework, self.mask & ~other.mask)
+        return ArgumentSet(self.framework,
+                           self.mask | _mask(self.framework, other))
 
     def complement(self) -> "ArgumentSet":
         return ArgumentSet(self.framework, self.framework.full_mask & ~self.mask)
 
     def issubset(self, other: "ArgumentSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
+        return self.mask & ~_mask(self.framework, other) == 0
 
     def __le__(self, other: "ArgumentSet") -> bool:
         return self.issubset(other)
@@ -298,6 +282,26 @@ def _reach(step: Callable[[int], int], frontier: int,
         frontier = nxt & ~reached
         reached |= nxt
     return reached
+
+
+def _maximal(masks: Iterable[int],
+             admit: Callable[[int], bool] = lambda mask: True) -> list[int]:
+    """The inclusion-maximal masks among those that ``admit`` accepts,
+    largest first.
+
+    The masks are visited by popcount, descending, ties by value, and a
+    mask is kept when no kept mask contains it and ``admit`` accepts it.
+    A strict superset has more bits, so it is visited first: a maximal
+    admitted mask is kept, since every kept mask is admitted, and any
+    other admitted mask lies inside a maximal one kept before it. For p
+    maximal masks among h that costs O(h * p) containment tests, and
+    ``admit`` runs only on masks that no kept mask contains.
+    """
+    kept: list[int] = []
+    for x in sorted(masks, key=lambda v: (-v.bit_count(), v)):
+        if all(x & ~y for y in kept) and admit(x):
+            kept.append(x)
+    return kept
 
 
 def connected_components(

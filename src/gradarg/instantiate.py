@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AtomBoundError, FormulaParseError, KnowledgeBaseError
-from .framework import ArgumentationFramework, ArgumentSet
+from .framework import ArgumentationFramework, ArgumentSet, _maximal
 from .kernel import GradeParams
 from .logic import (MAX_ATOMS, Formula, atoms, complement, format_formula,
                     parse_formula, strip_double_negation, truth_tables)
@@ -50,12 +50,6 @@ class KnowledgeBase:
     @property
     def formulas(self) -> tuple[Formula, ...]:
         return tuple(f for stratum in self.strata for f in stratum)
-
-    def stratum_of(self, f: Formula) -> int:
-        for level, stratum in enumerate(self.strata, start=1):
-            if f in stratum:
-                return level
-        raise KeyError(format_formula(f))
 
 
 _KB_LINE = re.compile(r"(\d+)\s*:\s*(\S.*)")
@@ -114,20 +108,11 @@ def _members(formulas: Sequence[Formula], mask: int) -> frozenset[Formula]:
     return frozenset(f for i, f in enumerate(formulas) if mask >> i & 1)
 
 
-def _maximal_consistent(tables: Sequence[int],
-                        prefix: int) -> list[tuple[int, int]]:
+def _maximal_consistent(tables: Sequence[int], prefix: int) -> list[int]:
     """The maximal masks of a stratum's tables consistent with the
-    prefix's table, each with the table of the extended prefix."""
-    kept: list[tuple[int, int]] = []
-    # descending popcount so kept sets are maximal by construction
-    for mask in sorted(range(1 << len(tables)),
-                       key=lambda v: (-v.bit_count(), v)):
-        if any(prev & mask == mask for prev, _ in kept):
-            continue
-        table = _conjoin(tables, mask, prefix)
-        if table:
-            kept.append((mask, table))
-    return kept
+    prefix's table."""
+    return _maximal(range(1 << len(tables)),
+                    lambda mask: _conjoin(tables, mask, prefix) != 0)
 
 
 def preferred_subtheories(kb: KnowledgeBase) -> tuple[frozenset[Formula], ...]:
@@ -139,9 +124,9 @@ def preferred_subtheories(kb: KnowledgeBase) -> tuple[frozenset[Formula], ...]:
     offset = 0
     for stratum in kb.strata:
         level = tables[offset:offset + len(stratum)]
-        prefixes = [(mask | chosen << offset, table)
+        prefixes = [(mask | chosen << offset, _conjoin(level, chosen, prefix))
                     for mask, prefix in prefixes
-                    for chosen, table in _maximal_consistent(level, prefix)]
+                    for chosen in _maximal_consistent(level, prefix)]
         offset += len(stratum)
     return tuple(_members(base, mask)
                  for mask in sorted(mask for mask, _ in prefixes))
@@ -151,10 +136,6 @@ def preferred_subtheories(kb: KnowledgeBase) -> tuple[frozenset[Formula], ...]:
 class ClassicalArgument:
     premises: frozenset[Formula]
     claim: Formula
-
-    @property
-    def is_premise_arg(self) -> bool:
-        return self.premises == frozenset((self.claim,))
 
     def __str__(self) -> str:
         return f"({_braced(self.premises)}, {format_formula(self.claim)})"
@@ -207,9 +188,6 @@ class DefeatGraph:
 
     def argument_of(self, label: str) -> ClassicalArgument:
         return self.arguments[self.framework.index_of(label)]
-
-    def label_of(self, arg: ClassicalArgument) -> str:
-        return self.framework.labels[self.arguments.index(arg)]
 
 
 def build_defeat_graph(kb: KnowledgeBase,

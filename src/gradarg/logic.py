@@ -262,10 +262,3 @@ def complement(f: Formula) -> Formula:
     """The syntactic opposite used by the attack relation: negate, then
     collapse any double negation at the top."""
     return strip_double_negation(Not(f))
-
-
-def complementary(f: Formula, g: Formula) -> bool:
-    """Whether one formula is the (double-negation-normalized) negation
-    of the other."""
-    a, b = strip_double_negation(f), strip_double_negation(g)
-    return a == Not(b) or b == Not(a)

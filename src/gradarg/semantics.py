@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
 from .framework import (ArgumentationFramework, ArgumentSet,
-                        DEFAULT_MAX_ARGS, _mask, _reach)
+                        DEFAULT_MAX_ARGS, _mask, _maximal, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
                      least_fixpoints, least_tolerance, lfp_from,
                      neutrality_mask)
@@ -263,11 +263,6 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     if semantics is Semantics.GROUNDED and not family:
         return _no_grounded(fw, params, lfp[0])
     return _family(fw, semantics, params, family)
-
-
-def _maximal(masks: list[int]) -> list[int]:
-    return [x for x in masks
-            if not any(y != x and x & ~y == 0 for y in masks)]
 
 
 def _no_grounded(fw: ArgumentationFramework, params: GradeParams,

@@ -304,6 +304,25 @@ def tautology(f) -> bool:
     return entails([], f)
 
 
+def _undouble(f):
+    while isinstance(f, Not) and isinstance(f.operand, Not):
+        f = f.operand.operand
+    return f
+
+
+def complementary(f, g) -> bool:
+    """Whether one formula is the negation of the other once double
+    negations at the top are collapsed; the attack rule's clash."""
+    a, b = _undouble(f), _undouble(g)
+    return a == Not(b) or b == Not(a)
+
+
+def stratum_of(strata, f) -> int:
+    """The 1-based level of the stratum holding f, strongest first."""
+    return next(level for level, stratum in enumerate(strata, start=1)
+                if f in stratum)
+
+
 def preferred_subtheories(strata) -> set[frozenset]:
     """Maximal consistent prefixes, built stratum by stratum; strata is
     a sequence of formula tuples, strongest first. Maximality is by set

@@ -74,6 +74,10 @@ def test_apx_whitespace_and_multiple_facts_per_line():
     fw = parse_apx("arg( a ). arg(b).\natt( a , b ).")
     assert fw.labels == ("a", "b")
     assert fw.attacks == (("a", "b"),)
+    # blanks after the last fact of a line, and a blank line
+    fw = parse_apx("arg(a). arg(b). \t \natt(a,b).  \n  \narg(c).\t")
+    assert fw.labels == ("a", "b", "c")
+    assert fw.attacks == (("a", "b"),)
 
 
 def test_apx_att_before_arg_is_fine():
@@ -86,6 +90,12 @@ def test_apx_malformed_fact():
         parse_apx("argument(a).")
     with pytest.raises(FrameworkParseError, match="malformed"):
         parse_apx("arg(a)")
+    # the rest of the line from the bad fact on, stripped, at most 30
+    # characters
+    with pytest.raises(FrameworkParseError) as info:
+        parse_apx("arg(a).\narg(b).  arg(c) arg(d). att(a,b). att(b,a).  \t")
+    assert str(info.value) == (
+        "line 2: malformed fact near 'arg(c) arg(d). att(a,b). att(b'")
 
 
 def test_apx_arity_errors():

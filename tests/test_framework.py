@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given
 
 from conftest import framework_and_subset, frameworks
-from gradarg.fixtures import (FIXTURES, attack_chain, defended_two_on_one,
-                              isolated_node, mutual_pair,
-                              quality_precedence, self_contradiction,
-                              self_loop_and_edge, shared_target_chain,
+from gradarg import fixtures
+from gradarg.fixtures import (attack_chain, isolated_node, mutual_pair,
                               single_chain, three_cycle, two_on_one)
 from gradarg.framework import (ArgumentationFramework, disjoint_union,
                                random_framework, relabel)
@@ -45,7 +43,6 @@ def test_self_attacks_allowed():
 def test_attack_structure_queries():
     fw = two_on_one()
     assert set(fw.attackers_of("b2").labels) == {"c2", "d2"}
-    assert set(fw.targets_of("b2").labels) == {"a2"}
     assert fw.in_degree("b2") == 2
     assert fw.max_in_degree == 2
     assert set(fw.defenders_of("a2").labels) == {"c2", "d2"}
@@ -86,8 +83,6 @@ def test_set_algebra():
     x = fw.set_of(["a", "b"])
     y = fw.set_of(["b", "c"])
     assert x.union(y) == fw.full_set()
-    assert x.intersection(y) == fw.set_of(["b"])
-    assert x.difference(y) == fw.set_of(["a"])
     assert x.complement() == fw.set_of(["c"])
     assert x.issubset(fw.full_set())
     assert not fw.full_set().issubset(x)
@@ -96,8 +91,11 @@ def test_set_algebra():
 def test_sets_of_different_frameworks_do_not_mix():
     x = three_cycle().set_of(["a"])
     y = mutual_pair().set_of(["a"])
-    with pytest.raises(ValueError, match="different frameworks"):
-        x.union(y)
+    for combine in (x.union, x.issubset, x.__le__):
+        with pytest.raises(ValueError) as info:
+            combine(y)
+        assert str(info.value) == (
+            "argument set belongs to a different framework")
 
 
 def test_mask_out_of_range_rejected():
@@ -170,6 +168,11 @@ def test_relabel_requires_total_injective_mapping():
 # -- named fixtures ----------------------------------------------------------
 
 
+FIXTURES = {name: getattr(fixtures, name) for name in (
+    "mutual_pair", "three_cycle", "shared_target_chain", "single_chain",
+    "two_on_one", "defended_two_on_one", "three_on_one_mixed_defense",
+    "self_contradiction", "quality_precedence", "self_loop_and_edge",
+    "depth_chain_and_root_attack")}
 EXPECTED_SHAPES = {
     "mutual_pair": (2, {("a", "b"), ("b", "a")}),
     "three_cycle": (3, {("a", "b"), ("b", "c"), ("c", "a")}),

@@ -11,8 +11,8 @@ from gradarg.instantiate import (ClassicalArgument, KnowledgeBase,
                                  preferred_subtheories,
                                  ps_correspondence_check)
 from gradarg.kernel import GradeParams
-from gradarg.logic import (complement, complementary, entails,
-                           format_formula, parse_formula)
+from gradarg.logic import (complement, entails, format_formula,
+                           parse_formula)
 from gradarg.ranking import Relation, absolute_rank
 from gradarg.semantics import JustificationMode, Semantics
 
@@ -38,7 +38,6 @@ def test_parse_kb_orders_strata_by_index():
     assert kb.strata == (
         (parse_formula("a"), parse_formula("b")),
         (parse_formula("c"), parse_formula("d")))
-    assert kb.stratum_of(parse_formula("c")) == 2
     assert [format_formula(f) for f in kb.formulas] == ["a", "b", "c", "d"]
 
 
@@ -69,8 +68,6 @@ def test_knowledge_base_validation():
     wide = tuple((parse_formula(f"x{i}"),) for i in range(17))
     with pytest.raises(AtomBoundError, match="17 atoms"):
         KnowledgeBase(wide)
-    with pytest.raises(KeyError):
-        KnowledgeBase(((a,),)).stratum_of(b)
 
 
 # -- preferred subtheories -------------------------------------------------------
@@ -114,7 +111,7 @@ def test_generated_arguments_for_the_conflicting_base():
         "({!a | !b, b}, !a)",
         "({!a}, !a)",
     ]
-    assert [a.is_premise_arg for a in args] == [
+    assert [a.premises == {a.claim} for a in args] == [
         True, True, False, True, False, False, True]
 
 
@@ -127,7 +124,7 @@ def test_generated_arguments_satisfy_the_definition():
             premises = list(arg.premises)
             assert oc.consistent(premises)
             assert oc.entails(premises, arg.claim)
-            if arg.is_premise_arg:
+            if arg.premises == {arg.claim}:
                 continue
             assert arg.claim in complements
             assert frozenset(premises) in oc.minimal_entailers(base,
@@ -155,7 +152,6 @@ def test_inconsistent_base_formulas_get_no_premise_argument():
     assert len(args) == 2
     empty_premises, premise_b = args
     assert empty_premises.premises == frozenset()
-    assert not empty_premises.is_premise_arg
     assert empty_premises.claim == complement(parse_formula("a & !a"))
     assert str(premise_b) == "({b}, b)"
 
@@ -186,8 +182,8 @@ def test_defeat_graph_of_the_single_class_base():
 
 def test_defeat_graph_argument_lookup_roundtrip():
     graph = build_defeat_graph(parse_kb(CONFLICT_BASE))
-    for label in graph.framework.labels:
-        assert graph.label_of(graph.argument_of(label)) == label
+    for label, arg in zip(graph.framework.labels, graph.arguments):
+        assert graph.argument_of(label) is arg
     assert graph.argument_of("A7") == ClassicalArgument(
         frozenset({parse_formula("!a")}), parse_formula("!a"))
 
@@ -225,13 +221,13 @@ def test_defeat_graph_edges_match_direct_definition():
         attacks: set[tuple[str, str]] = set()
         defeats: set[tuple[str, str]] = set()
         for i, attacker in enumerate(args):
-            worst = max((kb.stratum_of(g) for g in attacker.premises),
-                        default=0)
+            worst = max((oc.stratum_of(kb.strata, g)
+                         for g in attacker.premises), default=0)
             for j, target in enumerate(args):
                 for beta in target.premises:
-                    if complementary(attacker.claim, beta):
+                    if oc.complementary(attacker.claim, beta):
                         attacks.add((labels[i], labels[j]))
-                        if worst <= kb.stratum_of(beta):
+                        if worst <= oc.stratum_of(kb.strata, beta):
                             defeats.add((labels[i], labels[j]))
         assert graph.attack_pairs == attacks
         assert set(graph.framework.attacks) == defeats

@@ -13,11 +13,12 @@ from gradarg.errors import (ConstraintViolatedError, NoExtensionError,
 from gradarg.fixtures import (defended_two_on_one, isolated_node, mutual_pair,
                               shared_target_chain, three_cycle, two_on_one)
 from gradarg.framework import ArgumentationFramework, random_framework
+from gradarg.framework import _maximal as maximal_by_popcount
 from gradarg.kernel import (GradeParams, graded_neutrality, least_fixpoints,
                             lfp_from, saturation_bound, unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
                                JustificationMode, Semantics, _candidates,
-                               _family, _maximal, _no_grounded, _satisfies,
+                               _family, _no_grounded, _satisfies,
                                complete_closure, enumerate_extensions,
                                grounded_by_construction,
                                is_l_conflict_free, is_lmn_admissible,
@@ -206,6 +207,13 @@ def _subsets_by_popcount(n: int) -> Iterator[int]:
             x = (((r ^ x) >> 2) // c) | r
 
 
+def _maximal(masks: list[int]) -> list[int]:
+    """The masks that no other mask contains, by comparing every pair:
+    the reference for the popcount-ordered ``framework._maximal``."""
+    return [x for x in masks
+            if not any(y != x and x & ~y == 0 for y in masks)]
+
+
 def _select(fw: ArgumentationFramework, semantics: Semantics,
             params: GradeParams, candidates: Iterable[int]) -> ExtensionFamily:
     """The family of the candidates that satisfy the semantics'
@@ -263,6 +271,77 @@ def test_search_matches_scan_and_oracle(density):
                     assert family_sets(got) == oc.extension_family(
                         labels, attacks, semantics.value,
                         params.l, params.m, params.n)
+
+
+def _mask_families(rng: random.Random) -> Iterator[list[int]]:
+    """Seeded families of distinct masks: empty, singletons, chains,
+    antichains (all masks of one popcount, or a sample of them) and
+    random samples, over widths 0 to 9."""
+    yield []
+    for width in range(10):
+        universe = range(1 << width)
+        yield [rng.choice(universe)]
+        chain, x = [0], 0
+        for bit in rng.sample(range(width), width):
+            x |= 1 << bit
+            chain.append(x)
+        yield rng.sample(chain, len(chain))
+        level = [x for x in universe if x.bit_count() == width // 2]
+        yield level
+        yield rng.sample(level, rng.randint(0, len(level)))
+        for _ in range(6):
+            yield rng.sample(universe, rng.randint(0, len(universe)))
+
+
+def test_maximal_by_popcount_matches_all_pairs_reference():
+    """``framework._maximal`` against the all-pairs reference: the same
+    maximal masks among the admitted ones, largest first (popcount
+    descending, ties by value), and ``admit`` asked about exactly the
+    masks that no other kept mask contains."""
+    rng = random.Random(9100)
+    admits = [lambda x: True, lambda x: x.bit_count() <= 3,
+              lambda x: x % 3 != 0]
+    for masks in _mask_families(rng):
+        for admit in admits:
+            asked: list[int] = []
+            kept = maximal_by_popcount(
+                masks, lambda x: asked.append(x) or admit(x))
+            want = _maximal([x for x in masks if admit(x)])
+            assert sorted(kept) == sorted(want), masks
+            assert kept == sorted(kept, key=lambda x: (-x.bit_count(), x))
+            assert sorted(asked) == sorted(
+                x for x in masks
+                if not any(y != x and x & ~y == 0 for y in kept))
+
+
+def _two_cycles(c: int) -> ArgumentationFramework:
+    """c disjoint two-cycles a_i <-> b_i."""
+    labels = [f"{side}{i}" for i in range(c) for side in "ab"]
+    attacks = [pair for i in range(c)
+               for pair in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))]
+    return ArgumentationFramework(labels, attacks)
+
+
+@pytest.mark.parametrize("c", range(8))
+def test_disjoint_two_cycles_have_one_preferred_choice_per_cycle(c):
+    """At (1, 1, 1), c disjoint two-cycles have 3^c complete extensions
+    and 2^c preferred ones, each taking one member of every cycle; the
+    family is what the scan and, up to three cycles, the oracle give."""
+    fw = _two_cycles(c)
+    params = GradeParams(1, 1, 1)
+    complete = enumerate_extensions(fw, Semantics.COMPLETE, params)
+    preferred = enumerate_extensions(fw, Semantics.PREFERRED, params)
+    assert len(complete.extensions) == 3 ** c
+    assert family_sets(preferred) == {
+        frozenset(choice)
+        for choice in itertools.product(*(
+            (f"a{i}", f"b{i}") for i in range(c)))}
+    if c <= 5:
+        assert preferred == _scan_extensions(fw, Semantics.PREFERRED, params)
+    if c <= 3:
+        labels, attacks = labels_attacks(fw)
+        assert family_sets(preferred) == oc.extension_family(
+            labels, attacks, "preferred", 1, 1, 1)
 
 
 def _greatest_fixpoint(labels, attacks, m, n):
