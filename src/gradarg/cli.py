@@ -25,7 +25,8 @@ from .kernel import GradeParams
 from .logic import format_formula, parse_formula
 from .postulates import (CheckResult, PostulateVerdict, corpus_checks,
                          named_counterexamples_match)
-from .ranking import ArgumentPartialOrder, absolute_rank, contextual_rank
+from .ranking import (RANKED_SEMANTICS, ArgumentPartialOrder, absolute_rank,
+                      contextual_rank)
 from .semantics import (Existence, JustificationMode, Semantics,
                         enumerate_extensions)
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated context, empty string for none")
     mode.add_argument("--absolute", action="store_true")
     rank.add_argument("--semantics", default="preferred",
-                      choices=("grounded", "preferred", "stable"))
+                      choices=[s.value for s in RANKED_SEMANTICS])
     rank.add_argument("--output", choices=("text", "json", "dot"),
                       default="text")
     rank.set_defaults(func=_cmd_rank)

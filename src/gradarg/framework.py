@@ -5,15 +5,19 @@ arguments and whose edges are attacks. Arguments carry a human-readable
 label and a dense integer index; sets of arguments are stored as bitmasks
 over the index range, which keeps the counting operators and fixpoint
 iterations cheap even under exhaustive subset scans.
+
+The attack relation is held in one shape, per-argument rows built by the
+constructor in one pass over the distinct attacks: ``attacker_masks``
+(row i is the bitmask of i's attackers), ``target_masks`` (the bitmask
+of i's targets), ``target_indices`` (i's targets as indices) and
+``in_degrees``. The operators read the rows directly; ``attacks`` and
+``attack_indices`` are derived from the target rows on request.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
-
-DEFAULT_MAX_ARGS = 24
-
 
 @dataclass(frozen=True)
 class ArgumentId:
@@ -33,8 +37,8 @@ class ArgumentationFramework:
     declared labels; self-attacks are allowed and duplicates collapse.
     """
 
-    __slots__ = ("_labels", "_index", "_pairs", "_attacker_masks",
-                 "_in_degrees", "_target_masks", "_target_indices", "_hash")
+    __slots__ = ("_labels", "_index", "_attacker_masks", "_target_masks",
+                 "_target_indices", "_in_degrees", "_hash")
 
     def __init__(self, arguments: Sequence[str],
                  attacks: Iterable[tuple[str, str]] = ()) -> None:
@@ -55,17 +59,18 @@ class ArgumentationFramework:
             pairs.add((index[src], index[dst]))
         attacker_masks = [0] * len(labels)
         target_masks = [0] * len(labels)
+        targets: list[list[int]] = [[] for _ in labels]
         for s, d in pairs:
             attacker_masks[d] |= 1 << s
             target_masks[s] |= 1 << d
+            targets[s].append(d)
         self._labels = labels
         self._index = index
-        self._pairs = frozenset(pairs)
         self._attacker_masks = tuple(attacker_masks)
-        self._in_degrees = tuple(map(int.bit_count, attacker_masks))
         self._target_masks = tuple(target_masks)
-        self._target_indices: tuple[tuple[int, ...], ...] | None = None
-        self._hash = hash((labels, self._pairs))
+        self._target_indices = tuple(map(tuple, targets))
+        self._in_degrees = tuple(map(int.bit_count, attacker_masks))
+        self._hash = hash((labels, self._attacker_masks))
 
     # -- basic inspection ------------------------------------------------
 
@@ -83,18 +88,15 @@ class ArgumentationFramework:
     @property
     def attacks(self) -> tuple[tuple[str, str], ...]:
         """Attack pairs as labels, sorted by (source index, target index)."""
-        return tuple((self._labels[s], self._labels[d])
-                     for s, d in sorted(self._pairs))
+        labels = self._labels
+        return tuple((labels[s], labels[d])
+                     for s, row in enumerate(self._target_indices)
+                     for d in sorted(row))
 
     @property
     def attack_indices(self) -> frozenset[tuple[int, int]]:
-        return self._pairs
-
-    def argument(self, label: str) -> ArgumentId:
-        try:
-            return ArgumentId(self._index[label], label)
-        except KeyError:
-            raise KeyError(f"unknown argument {label!r}") from None
+        return frozenset((s, d) for s, row in enumerate(self._target_indices)
+                         for d in row)
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
@@ -105,21 +107,20 @@ class ArgumentationFramework:
         except KeyError:
             raise KeyError(f"unknown argument {label!r}") from None
 
-    def attacker_mask(self, index: int) -> int:
-        return self._attacker_masks[index]
+    @property
+    def attacker_masks(self) -> tuple[int, ...]:
+        """Row i: the bitmask of the attackers of argument i."""
+        return self._attacker_masks
 
-    def target_mask(self, index: int) -> int:
-        return self._target_masks[index]
+    @property
+    def target_masks(self) -> tuple[int, ...]:
+        """Row i: the bitmask of the arguments that argument i attacks."""
+        return self._target_masks
 
     @property
     def target_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Each argument's targets as a tuple of indices, built on first
-        use for the kernel's counter propagation."""
-        if self._target_indices is None:
-            targets: list[list[int]] = [[] for _ in self._labels]
-            for s, d in self._pairs:
-                targets[s].append(d)
-            self._target_indices = tuple(map(tuple, targets))
+        """Row i: the indices of the arguments that argument i attacks,
+        in no particular order."""
         return self._target_indices
 
     def attackers_of(self, label: str) -> "ArgumentSet":
@@ -127,13 +128,8 @@ class ArgumentationFramework:
 
     def defenders_of(self, label: str) -> "ArgumentSet":
         """Attackers of the attackers."""
-        mask = 0
-        att = self._attacker_masks[self.index_of(label)]
-        while att:
-            low = att & -att
-            mask |= self._attacker_masks[low.bit_length() - 1]
-            att ^= low
-        return ArgumentSet(self, mask)
+        rows = self._attacker_masks
+        return ArgumentSet(self, _image(rows, rows[self.index_of(label)]))
 
     @property
     def in_degrees(self) -> tuple[int, ...]:
@@ -166,8 +162,6 @@ class ArgumentationFramework:
         return ArgumentSet(self, mask)
 
     def set_from_mask(self, mask: int) -> "ArgumentSet":
-        if mask & ~self.full_mask:
-            raise ValueError("mask has bits outside the argument range")
         return ArgumentSet(self, mask)
 
     # -- equality --------------------------------------------------------
@@ -175,14 +169,14 @@ class ArgumentationFramework:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ArgumentationFramework)
                 and self._labels == other._labels
-                and self._pairs == other._pairs)
+                and self._attacker_masks == other._attacker_masks)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return (f"ArgumentationFramework({len(self._labels)} arguments, "
-                f"{len(self._pairs)} attacks)")
+                f"{sum(self._in_degrees)} attacks)")
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,11 @@ class ArgumentSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self)
 
-    def union(self, other: "ArgumentSet") -> "ArgumentSet":
-        return ArgumentSet(self.framework,
-                           self.mask | _mask(self.framework, other))
-
     def complement(self) -> "ArgumentSet":
         return ArgumentSet(self.framework, self.framework.full_mask & ~self.mask)
 
     def issubset(self, other: "ArgumentSet") -> bool:
         return self.mask & ~_mask(self.framework, other) == 0
-
-    def __le__(self, other: "ArgumentSet") -> bool:
-        return self.issubset(other)
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.labels) + "}"
@@ -266,19 +253,25 @@ def _mask(fw: ArgumentationFramework, x: ArgumentSet) -> int:
     return x.mask
 
 
-def _reach(step: Callable[[int], int], frontier: int,
-           reached: int = 0) -> int:
-    """The union of ``reached`` and every index that ``step`` leads to
-    from the frontier, in one or more steps: OR the step masks of the
-    frontier's members, drop what is already reached, and repeat until
-    nothing new appears."""
+def _image(rows: Sequence[int], mask: int) -> int:
+    """The OR of the rows indexed by the members of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(rows: Sequence[int], frontier: int, reached: int = 0) -> int:
+    """The union of ``reached`` and every index that the rows lead to
+    from the frontier, in one or more steps: take the frontier's image,
+    drop what is already reached, and repeat until nothing new appears.
+    The walk does not step on from an index of ``reached`` outside the
+    frontier, so ``reached`` holds visited indices: nothing, or the
+    frontier itself."""
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= step(low.bit_length() - 1)
-            m ^= low
+        nxt = _image(rows, frontier)
         frontier = nxt & ~reached
         reached |= nxt
     return reached
@@ -311,21 +304,20 @@ def connected_components(
     Components are ordered by their smallest member index; isolated
     arguments form singleton components.
     """
-    n = len(fw)
+    labels, targets = fw.labels, fw.target_indices
+    both = tuple(map(int.__or__, fw.attacker_masks, fw.target_masks))
     seen = 0
     parts: list[ArgumentationFramework] = []
-    for start in range(n):
+    for start in range(len(fw)):
         if seen >> start & 1:
             continue
-        comp = _reach(lambda i: fw.attacker_mask(i) | fw.target_mask(i),
-                      1 << start, 1 << start)
+        comp = _reach(both, 1 << start, 1 << start)
         seen |= comp
-        members = [i for i in range(n) if comp >> i & 1]
-        labels = [fw.labels[i] for i in members]
-        inside = set(members)
-        attacks = [(fw.labels[s], fw.labels[d]) for s, d in fw.attack_indices
-                   if s in inside and d in inside]
-        parts.append(ArgumentationFramework(labels, attacks))
+        # every index below start lies in an earlier component
+        members = [i for i in range(start, len(fw)) if comp >> i & 1]
+        parts.append(ArgumentationFramework(
+            [labels[i] for i in members],
+            [(labels[s], labels[d]) for s in members for d in targets[s]]))
     return tuple(parts)
 
 

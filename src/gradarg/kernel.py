@@ -7,6 +7,11 @@ counts as live when the set musters fewer than n counter-attackers
 against it. Both collapse to the classical Dung operators at threshold
 one.
 
+Every function here reads the framework's attack rows directly, as its
+constructor built them: the counts AND a set with ``attacker_masks[i]``,
+and the fixpoint walk follows ``target_indices[i]`` from each argument
+that joins.
+
 In-set attackers of a given set are counted in two places only.
 ``neutrality_mask`` counts them for every argument: defense is computed
 as neutrality composed with itself, d_mn(X) = n_m(n_n(X)), since the
@@ -109,8 +114,8 @@ def compare_grades(g1: DefenseGrade, g2: DefenseGrade) -> GradeOrdering:
 def neutrality_mask(fw: ArgumentationFramework, l: int, xmask: int) -> int:
     out = 0
     bit = 1
-    for i in range(len(fw)):
-        if (fw.attacker_mask(i) & xmask).bit_count() < l:
+    for row in fw.attacker_masks:
+        if (row & xmask).bit_count() < l:
             out |= bit
         bit <<= 1
     return out
@@ -124,11 +129,12 @@ def defense_mask(fw: ArgumentationFramework, m: int, n: int,
 def least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
     """Smallest l at which the set is l-conflict-free: one more than the
     most attackers any member has inside the set."""
+    rows = fw.attacker_masks
     worst = 0
     rest = xmask
     while rest:
         low = rest & -rest
-        count = (fw.attacker_mask(low.bit_length() - 1) & xmask).bit_count()
+        count = (rows[low.bit_length() - 1] & xmask).bit_count()
         if count > worst:
             worst = count
         rest ^= low

@@ -19,16 +19,15 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
                         disjoint_union, random_framework, relabel)
 from .kernel import unattacked_closure
-from .ranking import ArgumentPartialOrder, Relation, absolute_rank
+from .ranking import (RANKED_SEMANTICS, ArgumentPartialOrder, Relation,
+                      absolute_rank)
 from .semantics import Semantics
-
-RANKED_SEMANTICS = (Semantics.GROUNDED, Semantics.PREFERRED, Semantics.STABLE)
 
 
 class CheckResult(Enum):
@@ -191,8 +190,9 @@ def check_self_contradiction(framework: ArgumentationFramework,
                              ) -> PostulateVerdict:
     """Every non-self-attacker must rank strictly above every
     self-attacker."""
+    rows = framework.attacker_masks
     selfers = [lab for i, lab in enumerate(framework.labels)
-               if framework.attacker_mask(i) >> i & 1]
+               if rows[i] >> i & 1]
     others = [lab for lab in framework.labels if lab not in selfers]
     return _first_failure(
         "self contradiction", framework, (semantics,),
@@ -281,21 +281,17 @@ def check_counter_transitivity(framework: ArgumentationFramework,
         "accordingly")
 
 
-def _fresh_prefix(taken: Iterable[str]) -> str:
-    prefix = "w"
-    labels = list(taken)
-    while any(lab.startswith(prefix) for lab in labels):
-        prefix += "w"
-    return prefix
-
-
 def _with_path(framework: ArgumentationFramework, target: str,
                length: int) -> ArgumentationFramework:
-    prefix = _fresh_prefix(framework.labels)
-    chain = [f"{prefix}{i}" for i in range(1, length + 1)]
-    attacks = list(framework.attacks) + [(chain[0], target)]
-    attacks += [(chain[i + 1], chain[i]) for i in range(length - 1)]
-    return ArgumentationFramework(list(framework.labels) + chain, attacks)
+    """The framework plus a fresh attack chain of the given length
+    ending in target. The chain's labels start with the shortest run of
+    w's that no label of the framework starts with."""
+    prefix = "w"
+    while any(lab.startswith(prefix) for lab in framework.labels):
+        prefix += "w"
+    chain = fixtures.attack_chain(length, target, prefix)
+    return ArgumentationFramework(framework.labels + chain.labels[1:],
+                                  framework.attacks + chain.attacks)
 
 
 def _side_by_side(base: ArgumentationFramework,

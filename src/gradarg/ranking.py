@@ -31,6 +31,8 @@ from .kernel import (defense_mask, defense_orbit, least_fixpoints,
                      saturation_bound)
 from .semantics import Semantics, _check_cap, _families
 
+RANKED_SEMANTICS = (Semantics.GROUNDED, Semantics.PREFERRED, Semantics.STABLE)
+
 
 class Relation(Enum):
     ABOVE = "above"
@@ -220,8 +222,7 @@ def absolute_signature(
     same rule ``enumerate_extensions`` reads one l of, and each family is
     intersected.
     """
-    if semantics not in (Semantics.GROUNDED, Semantics.PREFERRED,
-                         Semantics.STABLE):
+    if semantics not in RANKED_SEMANTICS:
         raise ValueError(
             "absolute rankings are defined for grounded, preferred, stable")
     _check_cap(len(fw), max_args)

@@ -37,13 +37,14 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
-from .framework import (ArgumentationFramework, ArgumentSet,
-                        DEFAULT_MAX_ARGS, _mask, _maximal, _reach)
+from .framework import (ArgumentationFramework, ArgumentSet, _mask,
+                        _maximal, _reach)
 from .kernel import (GradeParams, IterationStream, defense_mask,
                      least_fixpoints, least_tolerance, lfp_from,
                      neutrality_mask)
 
 MAX_ARGS_ENV = "GRADARG_MAX_ARGS"
+DEFAULT_MAX_ARGS = 24
 
 
 class Semantics(Enum):
@@ -351,7 +352,7 @@ def preferred_by_reachability(fw: ArgumentationFramework,
     larger complete extension may exist.
     """
     limit = _closure(fw, params, x).limit
-    reached = _reach(fw.target_mask, x.mask)
+    reached = _reach(fw.target_masks, x.mask)
     if reached != fw.full_mask:
         missing = ArgumentSet(fw, fw.full_mask & ~reached)
         raise NotReachingError(
@@ -367,7 +368,11 @@ def stable_convergence_check(fw: ArgumentationFramework, params: GradeParams,
     stages grow, so the upper ones shrink, and on a finite graph the
     upper limit is the n-neutral set of the lower limit. When the two
     limits coincide, that common set is the smallest stable extension
-    containing the start, re-checked against the stable predicate.
+    containing the start. No separate stability check is needed: if
+    n_n(L) = L for the least fixpoint L, then d_mn(L) = n_m(n_n(L)) =
+    n_m(L) = L, so L is its own m-neutral set and every member has fewer
+    than m attackers in L. Its least tolerance is then at most m, which
+    is at most l on the existence-safe region that ``_closure`` enforces.
     """
     lower = _closure(fw, params, x)
     upper = neutrality_mask(fw, params.n, lower.limit.mask)
@@ -376,14 +381,10 @@ def stable_convergence_check(fw: ArgumentationFramework, params: GradeParams,
             False, params, lower,
             Witness("upper limit differs from the least fixpoint",
                     ArgumentSet(fw, upper)))
-    limit = lower.limit
-    if not is_lmn_stable(fw, params, limit):
-        return ConvergenceReport(
-            False, params, lower,
-            Witness("streams meet but the limit is not stable", limit))
     return ConvergenceReport(
         True, params, lower,
-        Witness("smallest stable extension containing the start", limit))
+        Witness("smallest stable extension containing the start",
+                lower.limit))
 
 
 def justified(fw: ArgumentationFramework, semantics: Semantics,

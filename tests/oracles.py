@@ -176,6 +176,50 @@ def saturation_bound(labels: Labels, attacks: Attacks) -> int:
                default=0) + 1
 
 
+# -- the attack relation from its pairs -------------------------------------
+
+
+def index_pairs(labels: Labels, attacks: Attacks) -> list[tuple[int, int]]:
+    """The distinct attacks as (source index, target index), sorted."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    return sorted({(index[src], index[dst]) for src, dst in attacks})
+
+
+def reach(pairs: Iterable[tuple[int, int]], frontier: Iterable[int],
+          backward: bool = False) -> set[int]:
+    """The indices reached from the frontier in one or more steps along
+    the pairs, or against them when backward."""
+    step: dict[int, set[int]] = {}
+    for src, dst in pairs:
+        if backward:
+            src, dst = dst, src
+        step.setdefault(src, set()).add(dst)
+    out: set[int] = set()
+    todo = list(frontier)
+    while todo:
+        for j in step.get(todo.pop(), ()):
+            if j not in out:
+                out.add(j)
+                todo.append(j)
+    return out
+
+
+def weak_components(size: int,
+                    pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The weakly connected components as sorted index lists, ordered by
+    smallest member."""
+    pairs = list(pairs)
+    both = pairs + [(d, s) for s, d in pairs]
+    out: list[list[int]] = []
+    placed: set[int] = set()
+    for i in range(size):
+        if i not in placed:
+            members = sorted(reach(both, [i]) | {i})
+            placed.update(members)
+            out.append(members)
+    return out
+
+
 # -- justification and rankings --------------------------------------------
 
 

@@ -1,12 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given
 
+import oracles as oc
 from conftest import framework_and_subset, frameworks
 from gradarg import fixtures
+from gradarg.errors import NotReachingError
 from gradarg.fixtures import (attack_chain, isolated_node, mutual_pair,
                               single_chain, three_cycle, two_on_one)
-from gradarg.framework import (ArgumentationFramework, disjoint_union,
+from gradarg.framework import (ArgumentationFramework, _reach,
+                               connected_components, disjoint_union,
                                random_framework, relabel)
+from gradarg.kernel import GradeParams
+from gradarg.semantics import (Semantics, enumerate_extensions,
+                               preferred_by_reachability)
 
 
 # -- construction and validation ---------------------------------------------
@@ -50,10 +58,10 @@ def test_attack_structure_queries():
 
 def test_unknown_label_lookup_raises():
     fw = three_cycle()
-    with pytest.raises(KeyError):
-        fw.index_of("zz")
-    with pytest.raises(KeyError):
-        fw.argument("zz")
+    for lookup in (fw.index_of, fw.attackers_of, fw.defenders_of,
+                   fw.in_degree, lambda lab: fw.set_of(["a", lab])):
+        with pytest.raises(KeyError, match="unknown argument 'zz'"):
+            lookup("zz")
 
 
 def test_equality_ignores_attack_order_but_not_labels():
@@ -63,6 +71,98 @@ def test_equality_ignores_attack_order_but_not_labels():
     assert fw1 == fw2
     assert hash(fw1) == hash(fw2)
     assert fw1 != fw3
+
+
+def _raw_attack_lists(count: int, seed: int):
+    """Seeded (labels, attacks) inputs of 0 to 9 arguments whose attack
+    lists repeat pairs and hold self-attacks, in no particular order."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size = i % 10
+        labels = [f"v{j}" for j in rng.sample(range(100), size)]
+        attacks = [(rng.choice(labels), rng.choice(labels))
+                   for _ in range(rng.randrange(3 * size + 1))] if size else []
+        attacks += rng.sample(attacks, len(attacks) // 3)
+        attacks += [(lab, lab) for lab in labels if rng.random() < 0.15]
+        rng.shuffle(attacks)
+        yield labels, attacks
+
+
+def test_attack_rows_match_the_pairs_they_come_from():
+    """Every view of the attack relation, held to the distinct pairs of
+    the raw attack list: the three row tuples, in-degrees, both pair
+    views (``attacks`` in (source, target) index order), equality and
+    hash, defenders, components, reachability along either row tuple,
+    and the reach test of ``preferred_by_reachability``."""
+    seen = {"self": 0, "duplicate": 0, "sizes": set()}
+    rng = random.Random(5)
+    for labels, raw in _raw_attack_lists(200, 2026):
+        fw = ArgumentationFramework(labels, raw)
+        pairs = oc.index_pairs(labels, raw)
+        size = len(labels)
+        seen["sizes"].add(size)
+        seen["self"] += any(s == d for s, d in pairs)
+        seen["duplicate"] += len(raw) > len(pairs)
+        indices = range(size)
+        assert fw.attacker_masks == tuple(
+            sum(1 << s for s, d in pairs if d == i) for i in indices)
+        assert fw.target_masks == tuple(
+            sum(1 << d for s, d in pairs if s == i) for i in indices)
+        assert tuple(map(sorted, fw.target_indices)) == tuple(
+            [d for s, d in pairs if s == i] for i in indices)
+        assert fw.in_degrees == tuple(
+            sum(d == i for s, d in pairs) for i in indices)
+        assert fw.attacks == tuple((labels[s], labels[d]) for s, d in pairs)
+        assert fw.attack_indices == frozenset(pairs)
+
+        shuffled = list(reversed(raw)) + raw[:2]
+        same = ArgumentationFramework(labels, shuffled)
+        assert fw == same and hash(fw) == hash(same)
+        if pairs:
+            fewer = ArgumentationFramework(labels, [
+                (labels[s], labels[d]) for s, d in pairs[1:]])
+            assert fw != fewer
+        permuted = labels[::-1]
+        other = ArgumentationFramework(permuted, raw)
+        assert (fw == other) == (labels == permuted)
+
+        for i, lab in enumerate(labels):
+            attackers = {s for s, d in pairs if d == i}
+            expected = {s for s, d in pairs if d in attackers}
+            assert set(fw.defenders_of(lab).labels) == {
+                labels[j] for j in expected}
+
+        parts = connected_components(fw)
+        reference = oc.weak_components(size, pairs)
+        assert [c.labels for c in parts] == [
+            tuple(labels[i] for i in members) for members in reference]
+        for part, members in zip(parts, reference):
+            assert part.attacks == tuple(
+                (labels[s], labels[d]) for s, d in pairs if s in members)
+
+        for _ in range(3):
+            frontier = rng.getrandbits(size) if size else 0
+            start = [i for i in indices if frontier >> i & 1]
+            for backward, step in ((False, fw.target_masks),
+                                   (True, fw.attacker_masks)):
+                ahead = oc.reach(pairs, start, backward)
+                assert _reach(step, frontier) == sum(1 << i for i in ahead)
+                assert _reach(step, frontier, frontier) == sum(
+                    1 << i for i in ahead | set(start))
+
+        grounded = enumerate_extensions(
+            fw, Semantics.GROUNDED, GradeParams(1, 1, 1)).extensions[0]
+        missing = set(indices) - oc.reach(
+            pairs, [i for i in indices if grounded.mask >> i & 1])
+        if missing:
+            with pytest.raises(NotReachingError) as info:
+                preferred_by_reachability(fw, GradeParams(1, 1, 1), grounded)
+            assert str(info.value).endswith(str(fw.set_of(
+                labels[i] for i in sorted(missing))))
+        else:
+            preferred_by_reachability(fw, GradeParams(1, 1, 1), grounded)
+    assert {0, 1} <= seen["sizes"]
+    assert seen["self"] >= 20 and seen["duplicate"] >= 20
 
 
 # -- argument sets -----------------------------------------------------------
@@ -82,20 +182,20 @@ def test_set_algebra():
     fw = three_cycle()
     x = fw.set_of(["a", "b"])
     y = fw.set_of(["b", "c"])
-    assert x.union(y) == fw.full_set()
     assert x.complement() == fw.set_of(["c"])
+    assert x.complement().complement() == x
     assert x.issubset(fw.full_set())
+    assert fw.empty_set().issubset(y)
     assert not fw.full_set().issubset(x)
+    assert not x.issubset(y)
 
 
 def test_sets_of_different_frameworks_do_not_mix():
     x = three_cycle().set_of(["a"])
     y = mutual_pair().set_of(["a"])
-    for combine in (x.union, x.issubset, x.__le__):
-        with pytest.raises(ValueError) as info:
-            combine(y)
-        assert str(info.value) == (
-            "argument set belongs to a different framework")
+    with pytest.raises(ValueError) as info:
+        x.issubset(y)
+    assert str(info.value) == "argument set belongs to a different framework"
 
 
 def test_mask_out_of_range_rejected():

@@ -277,16 +277,16 @@ def test_sweeping_past_the_saturation_bound_changes_nothing():
         wide: dict[str, set] = {lab: set() for lab in fw.labels}
         for m in range(1, k + 3):
             for n in range(1, k + 3):
-                union = fw.empty_set()
-                seen = {union.mask}
-                cur = union
+                cur = fw.empty_set()
+                seen = {cur.mask}
+                union = cur.mask
                 while True:
                     cur = graded_defense(fw, m, n, cur)
                     if cur.mask in seen:
                         break
                     seen.add(cur.mask)
-                    union = union.union(cur)
-                for lab in union.labels:
+                    union |= cur.mask
+                for lab in fw.set_from_mask(union).labels:
                     wide[lab].add((m, n))
         narrow = contextual_signature(fw)
         for a in fw.labels:
