@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -478,3 +479,203 @@ def test_module_entry_point_runs():
         input=THREE_CYCLE, capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "{a, b, c}\n"
+
+
+# -- every output, pinned --------------------------------------------------------
+
+CHAIN = "a\nb\nc\n#\nc b\nb a\n"
+SELF_CHAIN = "a\nb\nc\n#\nb b\nb c\n"
+GRADE = ["--l", "2", "--m", "2", "--n", "1"]
+
+
+def _envelope_text(command, params, result, witnesses=()):
+    return json.dumps({"command": command, "params": params,
+                       "result": result, "witnesses": list(witnesses)},
+                      indent=2) + "\n"
+
+
+def _ps_envelope(emit, result, witnesses=(), **params):
+    return _envelope_text("instantiate", {"kb": "-", "emit": emit, **params},
+                          result, witnesses)
+
+
+PS_TEXTS = [["!a | !b", "a"], ["!a | !b", "b"]]
+CHECK_DETAIL = "premise sets of stable extensions match the subtheories"
+NONE_CLAUSE = ("no l-conflict-free defense fixpoint exists; least defense "
+               "fixpoint shown")
+BATTERY = (
+    "fixture battery:\n"
+    "  abstraction [grounded, preferred, stable]: Holds\n"
+    "  independence [grounded, preferred, stable]: Holds\n"
+    "  strict independence [stable]: Violated (b is strictly above c in its "
+    "component but not in the whole framework under stable)\n"
+    "  void precedence [grounded, preferred]: Holds\n"
+    "  void precedence [stable]: Violated (unattacked b is not strictly "
+    "above a under stable)\n"
+    "  self contradiction [preferred]: Violated (b is not strictly above the "
+    "self-attacker a)\n"
+    "  cardinality precedence [grounded]: Violated (a3 has fewer attackers "
+    "than a4 but is not strictly above it)\n"
+    "  quality precedence [preferred]: Violated (an attacker of b beats every "
+    "attacker of a, yet a is not strictly above b)\n"
+    "  defense precedence [grounded]: Violated (x is defended and r is not, "
+    "with equal attack counts, yet x is not strictly above r)\n"
+    "  strict counter-transitivity [grounded]: Violated (attackers of r "
+    "dominate those of x, yet x is not ranked accordingly)\n"
+    "  attack path addition [stable]: Violated (adding a length-1 path to x "
+    "does not strictly degrade it under stable)\n"
+    "  attack path increase [grounded]: Violated (growing the path from 1 to "
+    "3 leaves the targets EQUIVALENT under grounded)\n"
+    "  defense path increase [grounded]: Violated (growing the path from 2 "
+    "to 4 leaves the targets EQUIVALENT under grounded)\n"
+    "battery matches expected verdicts: true\n")
+ABSOLUTE_SIGNATURE = [[1, 2, 1], [1, 2, 2], [2, 1, 1], [2, 2, 1], [2, 2, 2]]
+
+# (argv, stdin, exit code, stdout, stderr); a stdout of "sha256:<hex>" pins
+# the digest of an output too long to spell out here
+PINNED = {
+    "solve-found-text": (
+        ["solve", "--semantics", "grounded", *GRADE], THREE_CYCLE,
+        0, "{a, b, c}\n", ""),
+    "solve-found-json": (
+        ["solve", "--semantics", "grounded", *GRADE, "--output", "json"],
+        THREE_CYCLE, 0, _envelope_text(
+            "solve", {"semantics": "grounded", "l": 2, "m": 2, "n": 1},
+            {"existence": "found", "extensions": [["a", "b", "c"]]}), ""),
+    "solve-none-text": (
+        ["solve", "--semantics", "grounded", *GRADE], SHARED_TARGET_CHAIN,
+        1, f"none-exists: {NONE_CLAUSE}\n", ""),
+    "solve-none-json": (
+        ["solve", "--semantics", "grounded", *GRADE, "--output", "json"],
+        SHARED_TARGET_CHAIN, 1, _envelope_text(
+            "solve", {"semantics": "grounded", "l": 2, "m": 2, "n": 1},
+            {"existence": "none-exists", "extensions": []},
+            [{"clause": NONE_CLAUSE,
+              "arguments": ["a3", "b3", "c3", "d3", "e3"]}]), ""),
+    "rank-contextual-text": (
+        ["rank", "--contextual", "c"], CHAIN,
+        0, "[0] c\n[1] a\n[2] b\n[0] > [1]\n[1] > [2]\n", ""),
+    "rank-contextual-json": (
+        ["rank", "--contextual", "c", "--output", "json"], CHAIN,
+        0, _envelope_text(
+            "rank", {"mode": "contextual", "start": ["c"]},
+            {"kind": "contextual",
+             "signatures": {"a": [[1, 1], [2, 1], [2, 2]],
+                            "b": [[2, 1], [2, 2]],
+                            "c": [[1, 1], [1, 2], [2, 1], [2, 2]]},
+             "classes": [["c"], ["a"], ["b"]], "hasse": [[0, 1], [1, 2]]}),
+        ""),
+    "rank-contextual-dot": (
+        ["rank", "--contextual", "c", "--output", "dot"], CHAIN,
+        0, 'digraph ranking {\n  rankdir=TB;\n  node [shape=box];\n'
+           '  c0 [label="c"];\n  c1 [label="a"];\n  c2 [label="b"];\n'
+           '  c0 -> c1;\n  c1 -> c2;\n}\n', ""),
+    "rank-absolute-text": (
+        ["rank", "--absolute"], SELF_CHAIN,
+        0, "[0] a\n[1] b, c\n[0] > [1]\n", ""),
+    "rank-absolute-json": (
+        ["rank", "--absolute", "--output", "json"], SELF_CHAIN,
+        0, _envelope_text(
+            "rank", {"mode": "absolute", "semantics": "preferred"},
+            {"kind": "absolute:preferred",
+             "signatures": {"a": [[l, m, n] for l in (1, 2) for m in (1, 2)
+                                  for n in (1, 2)],
+                            "b": ABSOLUTE_SIGNATURE,
+                            "c": ABSOLUTE_SIGNATURE},
+             "classes": [["a"], ["b", "c"]], "hasse": [[0, 1]]}), ""),
+    "rank-absolute-dot": (
+        ["rank", "--absolute", "--output", "dot"], SELF_CHAIN,
+        0, 'digraph ranking {\n  rankdir=TB;\n  node [shape=box];\n'
+           '  c0 [label="a"];\n  c1 [label="b, c"];\n  c0 -> c1;\n}\n', ""),
+    "postulates-corpus0-text": (
+        ["postulates", "--corpus", "0"], None, 0, BATTERY, ""),
+    "postulates-corpus3-text": (
+        ["postulates", "--corpus", "3"], None,
+        0, BATTERY + "random corpus (3 frameworks, seed 0):\n"
+        "  abstraction [grounded, preferred, stable]: Holds\n"
+        "  independence [grounded, preferred, stable]: Holds\n"
+        "  void precedence [grounded, preferred]: Holds\n"
+        "  unattacked equivalence [grounded, preferred, stable]: Holds\n", ""),
+    "postulates-corpus0-json": (
+        ["postulates", "--corpus", "0", "--output", "json"], None, 0,
+        "sha256:f0882ec144266e8edb58ab555e4934fde0c8e1dae766eb5c930b61025fb551bb",
+        ""),
+    "postulates-corpus3-json": (
+        ["postulates", "--corpus", "3", "--output", "json"], None, 0,
+        "sha256:c57798e1f4ec53596023848674c0db43955b0ca437dbe2e19e060ae792c69e55",
+        ""),
+    "instantiate-ps-text": (
+        ["instantiate", "--kb", "-", "--emit", "ps"], TWO_PS_BASE,
+        0, "{!a | !b, a}\n{!a | !b, b}\n", ""),
+    "instantiate-ps-json": (
+        ["instantiate", "--kb", "-", "--emit", "ps", "--output", "json"],
+        TWO_PS_BASE, 0, _ps_envelope("ps", {"subtheories": PS_TEXTS}), ""),
+    "instantiate-graph-text": (
+        ["instantiate", "--kb", "-", "--emit", "graph"], TWO_PS_BASE,
+        0, "A1\nA2\nA3\nA4\nA5\nA6\n#\n"
+           "A3 A4\nA3 A5\nA3 A6\nA5 A2\nA5 A3\nA5 A6\n",
+        "A1 = ({!a | !b}, !a | !b)\nA2 = ({a}, a)\nA3 = ({!a | !b, a}, !b)\n"
+        "A4 = ({b}, b)\nA5 = ({!a | !b, b}, !a)\nA6 = ({a, b}, !(!a | !b))\n"),
+    "instantiate-graph-json": (
+        ["instantiate", "--kb", "-", "--emit", "graph", "--output", "json"],
+        TWO_PS_BASE, 0, _ps_envelope("graph", {
+            "arguments": {
+                "A1": {"premises": ["!a | !b"], "claim": "!a | !b"},
+                "A2": {"premises": ["a"], "claim": "a"},
+                "A3": {"premises": ["!a | !b", "a"], "claim": "!b"},
+                "A4": {"premises": ["b"], "claim": "b"},
+                "A5": {"premises": ["!a | !b", "b"], "claim": "!a"},
+                "A6": {"premises": ["a", "b"], "claim": "!(!a | !b)"}},
+            "defeats": [["A3", "A4"], ["A3", "A5"], ["A3", "A6"],
+                        ["A5", "A2"], ["A5", "A3"], ["A5", "A6"]],
+            "attacks": [["A3", "A4"], ["A3", "A5"], ["A3", "A6"],
+                        ["A5", "A2"], ["A5", "A3"], ["A5", "A6"],
+                        ["A6", "A1"], ["A6", "A3"], ["A6", "A5"]]}), ""),
+    "instantiate-check-text": (
+        ["instantiate", "--kb", "-", "--emit", "check"], TWO_PS_BASE,
+        0, f"true\n{CHECK_DETAIL}\n", ""),
+    "instantiate-check-json": (
+        ["instantiate", "--kb", "-", "--emit", "check", "--output", "json"],
+        TWO_PS_BASE, 0, _ps_envelope(
+            "check", {"matches": True, "stable_equals_preferred": True,
+                      "subtheories": PS_TEXTS,
+                      "stable_premise_sets": PS_TEXTS},
+            [{"detail": CHECK_DETAIL}]), ""),
+    "instantiate-infer-text": (
+        ["instantiate", "--kb", "-", "--emit", "infer", "--goal", "a"],
+        TWO_PS_BASE, 1, "false\n", ""),
+    "instantiate-infer-json": (
+        ["instantiate", "--kb", "-", "--emit", "infer", "--goal", "a",
+         "--output", "json"], TWO_PS_BASE, 1, _ps_envelope(
+            "infer", {"holds": False, "premise_sets": PS_TEXTS},
+            goal="a", mode="sceptical", l=1, m=1, n=1), ""),
+    "malformed-tgf": (
+        ["solve", "--semantics", "grounded", "--l", "1", "--m", "1",
+         "--n", "1"], "a\n#\nb c\n",
+        2, "", "error: line 3: undeclared argument 'b' in edge\n"),
+    "malformed-kb": (
+        ["instantiate", "--kb", "-"], "0: a\n",
+        2, "", "error: line 1: stratum index must be >= 1\n"),
+    "too-deep-formula": (
+        ["instantiate", "--kb", "-"], "1: " + "!" * 300 + "a\n",
+        2, "", "error: line 1: formula is nested too deeply\n"),
+    "missing-file": (
+        ["solve", "--input", "no-such-dir/missing.tgf", "--semantics",
+         "grounded", "--l", "1", "--m", "1", "--n", "1"], None,
+        2, "", "error: cannot read 'no-such-dir/missing.tgf': "
+               "No such file or directory\n"),
+    "infer-without-goal": (
+        ["instantiate", "--kb", "-", "--emit", "infer"], "1: a\n",
+        2, "", "error: --emit infer requires --goal\n"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_every_output_is_pinned(case):
+    """Stdout, stderr and exit code of each subcommand, emit and output
+    form, and of one case of each usage error, byte for byte."""
+    argv, stdin, code, out, err = PINNED[case]
+    got_code, got_out, got_err = run_cli(argv, stdin)
+    if out.startswith("sha256:"):
+        got_out = "sha256:" + hashlib.sha256(got_out.encode()).hexdigest()
+    assert (got_code, got_out, got_err) == (code, out, err)
