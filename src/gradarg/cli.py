@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (FormulaParseError, FrameworkParseError, GradargError,
                      KnowledgeBaseError)
@@ -64,10 +64,26 @@ def _load_framework(args: argparse.Namespace) -> ArgumentationFramework:
     return parse(_read_input(args.input), fmt)
 
 
-def _emit(command: str, params: dict[str, Any], result: Any,
-          witnesses: list[Any]) -> None:
-    print(json.dumps({"command": command, "params": params, "result": result,
-                      "witnesses": witnesses}, indent=2))
+def _envelope(command: str, params: dict[str, Any], result: Any,
+              witnesses: list[Any]) -> str:
+    """The JSON reply of every command, the one place its four keys are
+    spelled."""
+    return json.dumps({"command": command, "params": params, "result": result,
+                       "witnesses": witnesses}, indent=2)
+
+
+def _reply(args: argparse.Namespace, command: str, params: dict[str, Any],
+           result: Any, witnesses: list[Any], lines: Iterable[str],
+           code: int = 0) -> int:
+    """Print the envelope or the text lines, as ``--output`` asks, and
+    return the exit code. The lines are read only on text runs, so a
+    command passes them lazily when they grow with the input."""
+    if args.output == "json":
+        print(_envelope(command, params, result, witnesses))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def _add_io_options(sub: argparse.ArgumentParser) -> None:
@@ -81,45 +97,33 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     fw = _load_framework(args)
-    params = GradeParams(args.l, args.m, args.n)
-    family = enumerate_extensions(fw, Semantics(args.semantics), params,
-                                  max_args=args.max_args)
-    witnesses = []
-    if family.witness is not None:
-        witnesses.append({
-            "clause": family.witness.clause,
-            "arguments": (None if family.witness.arguments is None
-                          else family.witness.arguments.labels)})
-    if args.output == "json":
-        _emit("solve",
-              {"semantics": args.semantics, "l": args.l, "m": args.m,
-               "n": args.n},
-              {"existence": family.existence.value,
-               "extensions": [e.labels for e in family.extensions]},
-              witnesses)
-    else:
-        if family.existence is Existence.FOUND:
-            for ext in family.extensions:
-                print(ext)
-        else:
-            detail = family.witness.clause if family.witness else ""
-            print(f"{family.existence.value}: {detail}")
-    return 0 if family.existence is Existence.FOUND else 1
-
-
-def _print_order_text(order: ArgumentPartialOrder) -> None:
-    for i, members in enumerate(order.equivalence_classes()):
-        print(f"[{i}] " + ", ".join(members))
-    for i, j in order.hasse_edges():
-        print(f"[{i}] > [{j}]")
+    family = enumerate_extensions(
+        fw, Semantics(args.semantics), GradeParams(args.l, args.m, args.n),
+        max_args=args.max_args)
+    extensions = [e.labels for e in family.extensions]
+    witness = family.witness
+    witnesses = [] if witness is None else [{
+        "clause": witness.clause,
+        "arguments": (None if witness.arguments is None
+                      else witness.arguments.labels)}]
+    found = family.existence is Existence.FOUND
+    detail = witness.clause if witness else ""
+    lines = (map(_braced, extensions) if found
+             else [f"{family.existence.value}: {detail}"])
+    return _reply(args, "solve",
+                  {"semantics": args.semantics, "l": args.l, "m": args.m,
+                   "n": args.n},
+                  {"existence": family.existence.value,
+                   "extensions": extensions},
+                  witnesses, lines, 0 if found else 1)
 
 
 _SIGNATURES = '\n    "signatures": '
 
 
 def _rank_json(params: dict[str, Any], order: ArgumentPartialOrder) -> str:
-    """The rank envelope, byte for byte as ``_emit`` writes it with each
-    signature's sorted grade points.
+    """The rank envelope, byte for byte as ``_envelope`` writes it with
+    each signature's sorted grade points.
 
     With indent set the encoder runs in pure Python, and a large order's
     signatures repeat a few grade sets, so each distinct set is encoded
@@ -130,9 +134,8 @@ def _rank_json(params: dict[str, Any], order: ArgumentPartialOrder) -> str:
     result = {"kind": order.kind, "signatures": {},
               "classes": [list(c) for c in order.equivalence_classes()],
               "hasse": [list(e) for e in order.hasse_edges()]}
-    head, tail = json.dumps({"command": "rank", "params": params,
-                             "result": result, "witnesses": []},
-                            indent=2).split(_SIGNATURES + "{}", 1)
+    head, tail = _envelope("rank", params, result, []).split(
+        _SIGNATURES + "{}", 1)
     distinct = {sig.bits: sig for sig in order.signatures.values()}
     encoded = {bits: json.dumps(sorted(sig.grades), indent=2).replace(
         "\n", "\n      ") for bits, sig in distinct.items()}
@@ -162,7 +165,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     elif args.output == "json":
         print(_rank_json(params, order))
     else:
-        _print_order_text(order)
+        for i, members in enumerate(order.equivalence_classes()):
+            print(f"[{i}] " + ", ".join(members))
+        for i, j in order.hasse_edges():
+            print(f"[{i}] > [{j}]")
     return 0
 
 
@@ -190,90 +196,75 @@ def _cmd_postulates(args: argparse.Namespace) -> int:
     matched, battery = named_counterexamples_match()
     corpus = (corpus_checks(count=args.corpus, seed=args.seed)
               if args.corpus > 0 else ())
-    corpus_ok = all(v.result is CheckResult.HOLDS for v in corpus)
-    witnesses = [_witness_json(v) for v in battery + tuple(corpus)
-                 if v.witness is not None]
-    if args.output == "json":
-        _emit("postulates",
-              {"corpus": args.corpus, "seed": args.seed},
-              {"battery": [_verdict_json(v) for v in battery],
-               "battery_matches_expected": matched,
-               "corpus": [_verdict_json(v) for v in corpus]},
-              witnesses)
-    else:
-        print("fixture battery:")
-        for verdict in battery:
-            print(f"  {verdict}")
-        print(f"battery matches expected verdicts: {str(matched).lower()}")
+    holds = matched and all(v.result is CheckResult.HOLDS for v in corpus)
+
+    def lines() -> Iterator[str]:
+        yield "fixture battery:"
+        yield from (f"  {verdict}" for verdict in battery)
+        yield f"battery matches expected verdicts: {str(matched).lower()}"
         if corpus:
-            print(f"random corpus ({args.corpus} frameworks, "
-                  f"seed {args.seed}):")
-            for verdict in corpus:
-                print(f"  {verdict}")
-    return 0 if matched and corpus_ok else 1
+            yield (f"random corpus ({args.corpus} frameworks, "
+                   f"seed {args.seed}):")
+            yield from (f"  {verdict}" for verdict in corpus)
+
+    return _reply(
+        args, "postulates", {"corpus": args.corpus, "seed": args.seed},
+        {"battery": [_verdict_json(v) for v in battery],
+         "battery_matches_expected": matched,
+         "corpus": [_verdict_json(v) for v in corpus]},
+        [_witness_json(v) for v in battery + tuple(corpus)
+         if v.witness is not None],
+        lines(), 0 if holds else 1)
 
 
 def _cmd_instantiate(args: argparse.Namespace) -> int:
     kb = parse_kb(_read_input(args.kb))
     base_params = {"kb": args.kb, "emit": args.emit}
     if args.emit == "ps":
-        subtheories = preferred_subtheories(kb)
-        if args.output == "json":
-            _emit("instantiate", base_params,
-                  {"subtheories": [_texts(s) for s in subtheories]}, [])
-        else:
-            for s in subtheories:
-                print(_braced(s))
-        return 0
+        subtheories = [_texts(s) for s in preferred_subtheories(kb)]
+        return _reply(args, "instantiate", base_params,
+                      {"subtheories": subtheories}, [],
+                      map(_braced, subtheories))
     if args.emit == "graph":
         graph = build_defeat_graph(kb, max_args=args.max_args)
         labelled = zip(graph.framework.labels, graph.arguments)
-        if args.output == "json":
-            _emit("instantiate", base_params,
-                  {"arguments": {
-                      label: {"premises": _texts(arg.premises),
-                              "claim": format_formula(arg.claim)}
-                      for label, arg in labelled},
-                   "defeats": [list(p) for p in graph.framework.attacks],
-                   "attacks": [list(p) for p in sorted(graph.attack_pairs)]},
-                  [])
-        else:
+        if args.output == "text":
             sys.stdout.write(write(graph.framework, args.graph_format))
             for label, arg in labelled:
                 print(f"{label} = {arg}", file=sys.stderr)
-        return 0
+            return 0
+        return _reply(
+            args, "instantiate", base_params,
+            {"arguments": {label: {"premises": _texts(arg.premises),
+                                   "claim": format_formula(arg.claim)}
+                           for label, arg in labelled},
+             "defeats": [list(p) for p in graph.framework.attacks],
+             "attacks": [list(p) for p in sorted(graph.attack_pairs)]}, [], ())
     if args.emit == "check":
         report = ps_correspondence_check(kb, max_args=args.max_args)
-        if args.output == "json":
-            _emit("instantiate", base_params,
-                  {"matches": report.matches,
-                   "stable_equals_preferred": report.stable_equals_preferred,
-                   "subtheories": [
-                       _texts(s) for s in report.subtheory_premise_sets],
-                   "stable_premise_sets": [
-                       _texts(s) for s in report.stable_premise_sets]},
-                  [{"detail": report.detail}])
-        else:
-            print(str(report.matches).lower())
-            print(report.detail)
-        return 0 if report.matches else 1
+        return _reply(
+            args, "instantiate", base_params,
+            {"matches": report.matches,
+             "stable_equals_preferred": report.stable_equals_preferred,
+             "subtheories": [_texts(s) for s in report.subtheory_premise_sets],
+             "stable_premise_sets": [
+                 _texts(s) for s in report.stable_premise_sets]},
+            [{"detail": report.detail}],
+            [str(report.matches).lower(), report.detail],
+            0 if report.matches else 1)
     # infer
     if args.goal is None:
         raise ValueError("--emit infer requires --goal")
-    params = GradeParams(args.l, args.m, args.n)
-    report = graded_inference(kb, params, parse_formula(args.goal),
-                              JustificationMode(args.mode),
-                              max_args=args.max_args)
-    if args.output == "json":
-        _emit("instantiate",
-              {**base_params, "goal": format_formula(report.goal),
-               "mode": args.mode, "l": args.l, "m": args.m, "n": args.n},
-              {"holds": report.holds,
-               "premise_sets": [_texts(s) for s in report.premise_sets]},
-              [])
-    else:
-        print(str(report.holds).lower())
-    return 0 if report.holds else 1
+    report = graded_inference(
+        kb, GradeParams(args.l, args.m, args.n), parse_formula(args.goal),
+        JustificationMode(args.mode), max_args=args.max_args)
+    return _reply(
+        args, "instantiate",
+        {**base_params, "goal": format_formula(report.goal),
+         "mode": args.mode, "l": args.l, "m": args.m, "n": args.n},
+        {"holds": report.holds,
+         "premise_sets": [_texts(s) for s in report.premise_sets]},
+        [], [str(report.holds).lower()], 0 if report.holds else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -90,8 +90,9 @@ def _texts(formulas: Iterable[Formula]) -> list[str]:
     return sorted(map(format_formula, formulas))
 
 
-def _braced(formulas: Iterable[Formula]) -> str:
-    return "{" + ", ".join(_texts(formulas)) + "}"
+def _braced(texts: Iterable[str]) -> str:
+    """Member texts as one set: ``{a, b}``, as ``ArgumentSet`` prints."""
+    return "{" + ", ".join(texts) + "}"
 
 
 def _conjoin(tables: Sequence[int], mask: int, rows: int) -> int:
@@ -138,7 +139,8 @@ class ClassicalArgument:
     claim: Formula
 
     def __str__(self) -> str:
-        return f"({_braced(self.premises)}, {format_formula(self.claim)})"
+        return (f"({_braced(_texts(self.premises))}, "
+                f"{format_formula(self.claim)})")
 
 
 def _minimal_entailing(tables: Sequence[int], rows: int,
@@ -261,7 +263,8 @@ def ps_correspondence_check(kb: KnowledgeBase,
         detail = "premise sets of stable extensions match the subtheories"
     elif not sets_match:
         detail = "; ".join(
-            f"{title}: " + "; ".join(sorted(map(_braced, sets)))
+            f"{title}: " + "; ".join(
+                sorted(_braced(_texts(s)) for s in sets))
             for title, sets in (
                 ("extra stable premise sets", stable_sets - subtheories),
                 ("unmatched subtheories", subtheories - stable_sets))
