@@ -55,26 +55,27 @@ class Implies:
 
 Formula = Atom | Not | And | Or | Implies
 
-_TOKEN = re.compile(r"\s*(->|[!&|()]|[a-z][a-z0-9_]*)")
+_TOKEN = re.compile(r"\s*(?:(->|[!&|()]|[a-z][a-z0-9_]*)|(\S))")
+
+
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """Each token with its 1-based column, in one pass that ends at the
+    trailing whitespace: past that bound the scan would retry every
+    position of it. A character no token starts with is an error."""
+    tokens = []
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        token, bad = match.groups()
+        if bad:
+            raise FormulaParseError(f"unexpected character {bad!r}",
+                                    match.start(2) + 1)
+        tokens.append((token, match.start(1) + 1))
+    return tokens
 
 
 def parse_formula(text: str) -> Formula:
     """Grammar: implication (right-assoc, lowest) over disjunction over
     conjunction over negation over atoms and parentheses."""
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].isspace():
-            break
-        match = _TOKEN.match(text, pos)
-        if not match:
-            bad = pos
-            while text[bad].isspace():
-                bad += 1
-            raise FormulaParseError(
-                f"unexpected character {text[bad]!r}", bad + 1)
-        tokens.append((match.group(1), match.start(1) + 1))
-        pos = match.end()
+    tokens = _tokens(text)
     if not tokens:
         raise FormulaParseError("empty formula", 1)
 

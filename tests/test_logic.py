@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +9,8 @@ import oracles as oc
 from gradarg.errors import AtomBoundError, FormulaParseError
 from gradarg.logic import (And, Atom, Implies, MAX_ATOMS, MAX_DEPTH, Not, Or,
                            atoms, complement, entails, evaluate,
-                           format_formula, is_consistent, parse_formula,
-                           strip_double_negation, truth_tables)
+                           _tokens, format_formula, is_consistent,
+                           parse_formula, strip_double_negation, truth_tables)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -60,6 +62,64 @@ def test_parse_errors_carry_column(text, column):
         parse_formula(text)
     assert err.value.position == column
     assert f"column {column}:" in str(err.value)
+
+
+_LOOP_TOKEN = re.compile(r"\s*(->|[!&|()]|[a-z][a-z0-9_]*)")
+
+
+def _loop_tokens(text):
+    """The tokenizer loop that ``_tokens`` replaced, as the reference: it
+    tests the rest of the text for whitespace once per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos:].isspace():
+            break
+        match = _LOOP_TOKEN.match(text, pos)
+        if not match:
+            bad = pos
+            while text[bad].isspace():
+                bad += 1
+            raise FormulaParseError(
+                f"unexpected character {text[bad]!r}", bad + 1)
+        tokens.append((match.group(1), match.start(1) + 1))
+        pos = match.end()
+    return tokens
+
+
+def _tokenized(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaParseError as exc:
+        return str(exc), exc.position
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_tokens_match_the_loop_on_random_text():
+    """Token texts, columns and error messages against the loop, on
+    strings over the token alphabet, '-', upper case, digits and every
+    Unicode whitespace character."""
+    rng = random.Random(20)
+    alphabet = [*"!&|()->abz_09AZ", "->", *WHITESPACE]
+    for _ in range(20_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert _tokenized(_tokens, text) == _tokenized(_loop_tokens, text), \
+            repr(text)
+
+
+def test_long_whitespace_runs_cost_one_pass():
+    """Inner runs are skipped by the token pattern and the trailing run is
+    never scanned; without the end bound, the pattern's retries make 40,000
+    trailing spaces cost tens of seconds."""
+    assert parse_formula("a" + " " * 40_000) == a
+    text = "a" + " " * 40_000 + "&\u3000" + "\u2003" * 40_000 + "b"
+    assert parse_formula(text + "\t" * 40_000) == And(a, b)
+    with pytest.raises(FormulaParseError) as err:
+        parse_formula("a" + " " * 40_000 + "?" + " " * 40_000)
+    assert err.value.position == 40_002
+    assert _tokens(text) == _loop_tokens(text)
 
 
 def test_unexpected_close_paren():
