@@ -156,15 +156,16 @@ def _signatures(fw: ArgumentationFramework, masks: list[int], bound: int,
     """Transpose per-point member masks, masks[p] holding the arguments
     justified at grade point p, into one signature int per argument.
 
-    Each mask is written as a binary string, highest argument first.
-    Zipping those strings, highest point first, yields one column per
-    argument, highest argument first, and each column reads as that
+    The masks are written as one binary string, highest point first and
+    within each point highest argument first, so argument i's digit of
+    every point sits ``width - 1 - i`` places into its point's block.
+    Every width-th digit from there reads, highest point first, as the
     argument's signature in binary."""
     width = len(fw)
-    columns = zip(*(f"{mask:0{width}b}" for mask in reversed(masks)))
-    rows = [int("".join(column), 2) for column in columns][::-1]
-    return {lab: JustificationSignature(lab, bits, bound, kind)
-            for lab, bits in zip(fw.labels, rows)}
+    text = "".join(f"{mask:0{width}b}" for mask in reversed(masks))
+    return {lab: JustificationSignature(
+                lab, int(text[width - 1 - i::width], 2), bound, kind)
+            for i, lab in enumerate(fw.labels)}
 
 
 # -- contextual (defense-iteration) signatures ---------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles as oc
@@ -9,9 +11,9 @@ from gradarg.fixtures import (defended_two_on_one, mutual_pair,
                               two_on_one)
 from gradarg.framework import ArgumentationFramework, disjoint_union
 from gradarg.kernel import GradeParams, graded_defense, saturation_bound
-from gradarg.ranking import (Relation, absolute_rank, absolute_signature,
-                             contextual_equals_grounded, contextual_rank,
-                             contextual_signature)
+from gradarg.ranking import (Relation, _signatures, absolute_rank,
+                             absolute_signature, contextual_equals_grounded,
+                             contextual_rank, contextual_signature)
 from gradarg.semantics import (JustificationMode, Semantics,
                                enumerate_extensions, justified)
 
@@ -26,6 +28,28 @@ def chain_pair() -> ArgumentationFramework:
 
 def attack_free(labels=("x", "y", "z")) -> ArgumentationFramework:
     return ArgumentationFramework(labels, [])
+
+
+# -- the transpose ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 5, 2000])
+def test_signatures_transpose_bit_by_bit(width):
+    """Bit p of argument i's signature is bit i of the mask of point p,
+    on random masks, all-zero and all-one masks included."""
+    rng = random.Random(width)
+    fw = attack_free([f"a{i}" for i in range(width)])
+    for points in (1, 2, 7, 49):
+        masks = [rng.getrandbits(width) for _ in range(points)]
+        masks[0], masks[-1] = 0, fw.full_mask
+        sigs = _signatures(fw, masks, 3, "contextual")
+        assert list(sigs) == list(fw.labels)
+        for i, label in enumerate(fw.labels):
+            expected = sum(1 << p for p, mask in enumerate(masks)
+                           if mask >> i & 1)
+            assert sigs[label].bits == expected
+            assert (sigs[label].argument, sigs[label].bound,
+                    sigs[label].kind) == (label, 3, "contextual")
 
 
 # -- contextual signatures -------------------------------------------------------
