@@ -82,10 +82,6 @@ class ArgumentationFramework:
         return self._labels
 
     @property
-    def arguments(self) -> tuple[ArgumentId, ...]:
-        return tuple(ArgumentId(i, lab) for i, lab in enumerate(self._labels))
-
-    @property
     def attacks(self) -> tuple[tuple[str, str], ...]:
         """Attack pairs as labels, sorted by (source index, target index)."""
         labels = self._labels
