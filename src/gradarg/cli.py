@@ -3,8 +3,11 @@
 Four subcommands: solve (extension families), rank (argument orders),
 postulates (checker battery and random sweeps), instantiate (stratified
 knowledge bases). JSON output always carries the same top-level keys:
-command, params, result, witnesses. Exit codes: 0 success, 1 negative
-domain answer or resource bound, 2 usage or parse error.
+command, params, result, witnesses, and ``_envelope`` alone writes them.
+Every command answers through ``_reply``, which prints the envelope or
+the text lines, except ``rank`` and the text form of ``instantiate
+--emit graph``. Exit codes: 0 success, 1 negative domain answer or
+resource bound, 2 usage or parse error.
 """
 from __future__ import annotations
 
