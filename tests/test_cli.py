@@ -494,7 +494,7 @@ def _envelope_text(command, params, result, witnesses=()):
                       indent=2) + "\n"
 
 
-def _ps_envelope(emit, result, witnesses=(), **params):
+def _kb_envelope(emit, result, witnesses=(), **params):
     return _envelope_text("instantiate", {"kb": "-", "emit": emit, **params},
                           result, witnesses)
 
@@ -598,18 +598,20 @@ PINNED = {
         "  unattacked equivalence [grounded, preferred, stable]: Holds\n", ""),
     "postulates-corpus0-json": (
         ["postulates", "--corpus", "0", "--output", "json"], None, 0,
-        "sha256:f0882ec144266e8edb58ab555e4934fde0c8e1dae766eb5c930b61025fb551bb",
+        "sha256:f0882ec144266e8edb58ab555e4934fd"
+        "e0c8e1dae766eb5c930b61025fb551bb",
         ""),
     "postulates-corpus3-json": (
         ["postulates", "--corpus", "3", "--output", "json"], None, 0,
-        "sha256:c57798e1f4ec53596023848674c0db43955b0ca437dbe2e19e060ae792c69e55",
+        "sha256:c57798e1f4ec53596023848674c0db43"
+        "955b0ca437dbe2e19e060ae792c69e55",
         ""),
     "instantiate-ps-text": (
         ["instantiate", "--kb", "-", "--emit", "ps"], TWO_PS_BASE,
         0, "{!a | !b, a}\n{!a | !b, b}\n", ""),
     "instantiate-ps-json": (
         ["instantiate", "--kb", "-", "--emit", "ps", "--output", "json"],
-        TWO_PS_BASE, 0, _ps_envelope("ps", {"subtheories": PS_TEXTS}), ""),
+        TWO_PS_BASE, 0, _kb_envelope("ps", {"subtheories": PS_TEXTS}), ""),
     "instantiate-graph-text": (
         ["instantiate", "--kb", "-", "--emit", "graph"], TWO_PS_BASE,
         0, "A1\nA2\nA3\nA4\nA5\nA6\n#\n"
@@ -618,7 +620,7 @@ PINNED = {
         "A4 = ({b}, b)\nA5 = ({!a | !b, b}, !a)\nA6 = ({a, b}, !(!a | !b))\n"),
     "instantiate-graph-json": (
         ["instantiate", "--kb", "-", "--emit", "graph", "--output", "json"],
-        TWO_PS_BASE, 0, _ps_envelope("graph", {
+        TWO_PS_BASE, 0, _kb_envelope("graph", {
             "arguments": {
                 "A1": {"premises": ["!a | !b"], "claim": "!a | !b"},
                 "A2": {"premises": ["a"], "claim": "a"},
@@ -636,7 +638,7 @@ PINNED = {
         0, f"true\n{CHECK_DETAIL}\n", ""),
     "instantiate-check-json": (
         ["instantiate", "--kb", "-", "--emit", "check", "--output", "json"],
-        TWO_PS_BASE, 0, _ps_envelope(
+        TWO_PS_BASE, 0, _kb_envelope(
             "check", {"matches": True, "stable_equals_preferred": True,
                       "subtheories": PS_TEXTS,
                       "stable_premise_sets": PS_TEXTS},
@@ -646,7 +648,7 @@ PINNED = {
         TWO_PS_BASE, 1, "false\n", ""),
     "instantiate-infer-json": (
         ["instantiate", "--kb", "-", "--emit", "infer", "--goal", "a",
-         "--output", "json"], TWO_PS_BASE, 1, _ps_envelope(
+         "--output", "json"], TWO_PS_BASE, 1, _kb_envelope(
             "infer", {"holds": False, "premise_sets": PS_TEXTS},
             goal="a", mode="sceptical", l=1, m=1, n=1), ""),
     "malformed-tgf": (
