@@ -19,7 +19,8 @@ n-neutral set of X holds exactly the attackers X fails to counter n
 times, and the unattacked arguments are the 1-neutral set of the whole
 framework. ``least_tolerance`` counts them for the members of a set: a
 set is l-conflict-free exactly when its least tolerance is at most l,
-which is also the only test the subset search prunes with.
+which is also the only test the subset search prunes with. It is the
+one place a least tolerance is computed.
 
 Least defense fixpoints come from counter propagation, one column of
 grades at a time: ``least_fixpoints`` walks m up through a range at a
@@ -29,9 +30,9 @@ in m, so a whole column costs one pass over the attacks plus one scan of
 the arguments per m. These counters are a third count of in-set
 attackers, kept apart on purpose: they are updated one attack at a time
 while a single set grows, whereas ``neutrality_mask`` and
-``least_tolerance`` count an arbitrary set afresh from bitmasks. Where
-the walk's counters already hold a count, nothing else recounts it: the
-least tolerance of each least fixpoint comes with it.
+``least_tolerance`` count an arbitrary set afresh from bitmasks. They
+only propagate defense: the walk returns plain masks, and a caller that
+needs the least tolerance of a fixpoint asks ``least_tolerance``.
 
 Greatest fixpoints need no walk of their own: the greatest (m, n)
 defense fixpoint is n_m(L), the m-neutral set of the least fixpoint L
@@ -142,9 +143,9 @@ def least_tolerance(fw: ArgumentationFramework, xmask: int) -> int:
 
 
 def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
-                    start: int = 0) -> list[tuple[int, int]]:
+                    start: int = 0) -> list[int]:
     """For each m of the ascending range ms, the least (m, n) defense
-    fixpoint containing start, paired with its least tolerance.
+    fixpoint containing start.
 
     start must defend itself at grade (ms[0], n); it then defends itself
     at every larger m, and each fixpoint lies inside the next, so one
@@ -162,7 +163,7 @@ def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
     queue = [i for i in range(size) if start >> i & 1]
     for i in queue:
         member[i] = True
-    x, worst = start, 0
+    x = start
     out = []
     for m in ms:
         for t in range(size):
@@ -172,19 +173,15 @@ def least_fixpoints(fw: ArgumentationFramework, n: int, ms: range,
         while queue:
             i = queue.pop()
             x |= 1 << i
-            if inside[i] > worst:
-                worst = inside[i]
             for j in targets[i]:
                 count = inside[j] = inside[j] + 1
-                if member[j] and count > worst:
-                    worst = count
                 if count == n:
                     for t in targets[j]:
                         live[t] -= 1
                         if live[t] < m and not member[t]:
                             member[t] = True
                             queue.append(t)
-        out.append((x, worst + 1))
+        out.append(x)
     return out
 
 

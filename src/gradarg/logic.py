@@ -74,7 +74,10 @@ def _tokens(text: str) -> list[tuple[str, int]]:
 
 def parse_formula(text: str) -> Formula:
     """Grammar: implication (right-assoc, lowest) over disjunction over
-    conjunction over negation over atoms and parentheses."""
+    conjunction over negation over atoms and parentheses. Each function
+    returns a subtree with its height, an atom counting as one, so a
+    formula deeper than ``MAX_DEPTH`` is refused before the first node
+    that would pass the bound is built."""
     tokens = _tokens(text)
     if not tokens:
         raise FormulaParseError("empty formula", 1)
@@ -90,35 +93,42 @@ def parse_formula(text: str) -> Formula:
         index += 1
         return tok
 
-    def implication() -> Formula:
+    def node(make: type, *parts: tuple[Formula, int]) -> tuple[Formula, int]:
+        formulas, heights = zip(*parts)
+        height = max(heights) + 1
+        if height > MAX_DEPTH:
+            raise FormulaParseError("formula is nested too deeply")
+        return make(*formulas), height
+
+    def implication() -> tuple[Formula, int]:
         left = disjunction()
         if peek() == "->":
             take()
-            return Implies(left, implication())
+            return node(Implies, left, implication())
         return left
 
-    def disjunction() -> Formula:
+    def disjunction() -> tuple[Formula, int]:
         left = conjunction()
         while peek() == "|":
             take()
-            left = Or(left, conjunction())
+            left = node(Or, left, conjunction())
         return left
 
-    def conjunction() -> Formula:
+    def conjunction() -> tuple[Formula, int]:
         left = unary()
         while peek() == "&":
             take()
-            left = And(left, unary())
+            left = node(And, left, unary())
         return left
 
-    def unary() -> Formula:
+    def unary() -> tuple[Formula, int]:
         tok = peek()
         if tok is None:
             raise FormulaParseError("formula ends unexpectedly",
                                     len(text) + 1)
         if tok == "!":
             take()
-            return Not(unary())
+            return node(Not, unary())
         if tok == "(":
             take()
             inner = implication()
@@ -129,31 +139,19 @@ def parse_formula(text: str) -> Formula:
         word, col = take()
         if word in ("&", "|", "->", ")"):
             raise FormulaParseError(f"unexpected {word!r}", col)
-        return Atom(word)
+        return Atom(word), 1
 
     try:
-        # the parser recurses on every level and on every parenthesis,
-        # so deep input can exhaust the stack before the depth check
-        result = implication()
+        # parentheses add no height but each one recurses, as does each
+        # right-nested level before its node is built, so deep input can
+        # exhaust the stack before any height passes the bound
+        result, _ = implication()
     except RecursionError:
         raise FormulaParseError("formula is nested too deeply") from None
     if index < len(tokens):
         raise FormulaParseError(
             f"unexpected trailing {tokens[index][0]!r}", tokens[index][1])
-    # every level holds a token of its own, so short formulas pass
-    if len(tokens) > MAX_DEPTH and _depth(result) > MAX_DEPTH:
-        raise FormulaParseError("formula is nested too deeply")
     return result
-
-
-def _depth(f: Formula) -> int:
-    """Levels of the formula tree, an atom counting as one."""
-    level, layer = 0, [f]
-    while layer:
-        level += 1
-        layer = [c for g in layer if not isinstance(g, Atom) for c in (
-            (g.operand,) if isinstance(g, Not) else (g.left, g.right))]
-    return level
 
 
 def format_formula(f: Formula) -> str:

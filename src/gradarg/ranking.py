@@ -196,8 +196,8 @@ def contextual_signature(
                 union |= stage
             masks[(m0 - 1) * k + n - 1] = union
             m0 += 1
-        column = least_fixpoints(fw, n, range(m0, k + 1), start)
-        masks[(m0 - 1) * k + n - 1::k] = [union for union, _ in column]
+        masks[(m0 - 1) * k + n - 1::k] = least_fixpoints(
+            fw, n, range(m0, k + 1), start)
     return _signatures(fw, masks, k, "contextual")
 
 
@@ -217,10 +217,10 @@ def absolute_signature(
     family justifies everything (empty intersection).
 
     One ``least_fixpoints`` walk per column n gives the least defense
-    fixpoint at every (m, n), with its least tolerance, and the column at
-    m gives the least fixpoint at the swapped grade (n, m). From those,
-    ``semantics._families`` gives the family at every l in [1, K], the
-    same rule ``enumerate_extensions`` reads one l of, and each family is
+    fixpoint at every (m, n), and the column at m gives the least
+    fixpoint at the swapped grade (n, m). From those, the family at
+    every l in [1, K] comes from ``semantics._families``, the same rule
+    ``enumerate_extensions`` reads one l of, and each family is
     intersected.
     """
     if semantics not in RANKED_SEMANTICS:
@@ -232,7 +232,7 @@ def absolute_signature(
     lfps = [least_fixpoints(fw, n, ms) for n in ms]
 
     def least_at(m: int, n: int) -> int:
-        return lfps[n - 1][m - 1][0]
+        return lfps[n - 1][m - 1]
 
     families: list[Sequence[int]] = [()] * k ** 3
     for n in ms:

@@ -16,17 +16,20 @@ monotone, so every complete, preferred or stable extension contains the
 least defense fixpoint and every admissible set lies inside the greatest
 one; l-conflict-freeness is hereditary, so a depth-first search between
 those bounds can drop a branch as soon as its set breaks it. Each set
-the search yields is still checked against the unchanged predicates,
-so the bounds only prune.
+the search yields is still checked against the unchanged predicate, its
+exact least tolerance included, so the bounds only prune.
 
-The extension rule exists once, in ``_families``: for one defense grade
-(m, n) it gives the family at every l of a range, from one search whose
-hits carry the least tolerance the predicate core ``_tolerance`` finds.
-``enumerate_extensions`` reads it at one l, and the absolute ranking
-sweep in ``ranking`` at every l in [1, K]. The same core backs
-``is_lmn_admissible``, ``is_lmn_complete`` and ``is_lmn_stable``, and
-the tests hold the search against an exhaustive scan over all 2^n
-subsets that feeds its candidates to that core too.
+The extension predicate splits in two parts: the (m, n) part
+``_passes_mn``, and l-conflict-freeness, which holds exactly when the
+set's ``least_tolerance`` is at most l. The extension rule exists once,
+in ``_families``: for one defense grade (m, n) it gives the family at
+every l of a range, from one search whose hits pass ``_passes_mn`` and
+keep the least tolerance the search counted when it pruned, so no hit
+is counted twice. ``enumerate_extensions`` reads it at one l, and the
+absolute ranking sweep in ``ranking`` at every l in [1, K]. Both parts
+back ``is_lmn_admissible``, ``is_lmn_complete`` and ``is_lmn_stable``,
+and the tests hold the search against an exhaustive scan over all 2^n
+subsets that feeds its candidates to those parts too.
 """
 from __future__ import annotations
 
@@ -136,27 +139,25 @@ def is_l_conflict_free(fw: ArgumentationFramework, l: int,
     return least_tolerance(fw, _mask(fw, x)) <= l
 
 
-def _tolerance(fw: ArgumentationFramework, semantics: Semantics, m: int,
-               n: int, x: int) -> int:
-    """The predicate core: the least tolerance of the mask x if x passes
-    the (m, n) part of the extension predicate, and 0 if it fails. That
-    part is containment in its own defense (admissible), equality with it
+def _passes_mn(fw: ArgumentationFramework, semantics: Semantics, m: int,
+               n: int, x: int) -> bool:
+    """The (m, n) part of the extension predicate on the mask x:
+    containment in its own defense (admissible), equality with it
     (complete, and the candidates of preferred and grounded), or equality
-    with it and with its own m-neutral set (stable); x is then an
-    extension at exactly the l from the returned value up. Defense is
-    tested first, since the tolerance costs a count over every member."""
+    with it and with its own m-neutral set (stable). x is then an
+    extension at exactly the l from its least tolerance up."""
     d = defense_mask(fw, m, n, x)
     if x & ~d or (d != x and semantics is not Semantics.ADMISSIBLE):
-        return 0
-    if semantics is Semantics.STABLE and neutrality_mask(fw, m, x) != x:
-        return 0
-    return least_tolerance(fw, x)
+        return False
+    return semantics is not Semantics.STABLE or neutrality_mask(fw, m, x) == x
 
 
 def _satisfies(fw: ArgumentationFramework, semantics: Semantics,
                params: GradeParams, x: int) -> bool:
-    """The extension predicate on a mask at (l, m, n)."""
-    return 0 < _tolerance(fw, semantics, params.m, params.n, x) <= params.l
+    """The extension predicate on a mask at (l, m, n). Defense is tested
+    first, since the tolerance costs a count over every member."""
+    return (_passes_mn(fw, semantics, params.m, params.n, x)
+            and least_tolerance(fw, x) <= params.l)
 
 
 def is_lmn_admissible(fw: ArgumentationFramework, params: GradeParams,
@@ -181,36 +182,39 @@ def is_lmn_stable(fw: ArgumentationFramework, params: GradeParams,
 
 
 def _candidates(fw: ArgumentationFramework, l: int, floor: int,
-                ceiling: int) -> Iterator[int]:
-    """Every l-conflict-free mask x with floor <= x <= ceiling, lazily;
-    floor must lie inside ceiling.
+                ceiling: int) -> Iterator[tuple[int, int]]:
+    """Every l-conflict-free mask x with floor <= x <= ceiling, lazily,
+    with its least tolerance; floor must lie inside ceiling.
 
     A depth-first search over the arguments of ceiling - floor in index
     order: each node adds one argument above the last one added, so every
     set is reached once. l-conflict-freeness is hereditary, so a branch
-    ends as soon as ``least_tolerance`` of its set exceeds l.
+    ends as soon as ``least_tolerance`` of its set exceeds l; a set that
+    stays keeps the tolerance it was pruned with.
     """
-    if least_tolerance(fw, floor) > l:
+    t = least_tolerance(fw, floor)
+    if t > l:
         return
     free = [1 << i for i in range(len(fw)) if (ceiling & ~floor) >> i & 1]
-    stack = [(floor, 0)]
+    stack = [(floor, t, 0)]
     while stack:
-        x, k = stack.pop()
-        yield x
+        x, t, k = stack.pop()
+        yield x, t
         for j in range(k, len(free)):
             y = x | free[j]
-            if least_tolerance(fw, y) <= l:
-                stack.append((y, j + 1))
+            u = least_tolerance(fw, y)
+            if u <= l:
+                stack.append((y, u, j + 1))
 
 
 def _families(fw: ArgumentationFramework, semantics: Semantics, m: int,
-              n: int, ls: range, lfp: tuple[int, int],
+              n: int, ls: range, least: int,
               least_at: Callable[[int, int], int]) -> list[Sequence[int]]:
     """The extension family at (l, m, n) for each l of the ascending
     range ls, as masks in search order.
 
-    lfp is the least (m, n) defense fixpoint with its least tolerance, as
-    a ``least_fixpoints`` walk gives it. Grounded needs nothing more:
+    least is the least (m, n) defense fixpoint, as a ``least_fixpoints``
+    walk gives it. Grounded needs nothing more than its least tolerance:
     every fixpoint contains the least one, so it is the least complete
     extension at each l where it is l-conflict-free, and no complete
     extension exists at the others. The other semantics share one
@@ -219,19 +223,19 @@ def _families(fw: ArgumentationFramework, semantics: Semantics, m: int,
     the least fixpoint at the swapped grade; for complete, preferred and
     stable they also contain the least one. A stable extension is its
     own m-neutral set, hence m-conflict-free, so stable searches at
-    tolerance min(l, m). Each hit keeps the least tolerance
-    ``_tolerance`` gives it, so every l filters the hits without
-    searching again; preferred then keeps the maximal ones.
+    tolerance min(l, m). Each hit that passes ``_passes_mn`` keeps the
+    least tolerance the search pruned it with, so every l filters the
+    hits without searching or counting again; preferred then keeps the
+    maximal ones.
     """
-    least, min_l = lfp
     if semantics is Semantics.GROUNDED:
-        hit = (least,)
+        hit, min_l = (least,), least_tolerance(fw, least)
         return [hit if min_l <= l else () for l in ls]
     greatest = neutrality_mask(fw, m, least_at(n, m))
     floor = 0 if semantics is Semantics.ADMISSIBLE else least
     top = min(ls[-1], m) if semantics is Semantics.STABLE else ls[-1]
-    hits = [(x, t) for x in _candidates(fw, top, floor, greatest)
-            if (t := _tolerance(fw, semantics, m, n, x))]
+    hits = [(x, t) for x, t in _candidates(fw, top, floor, greatest)
+            if _passes_mn(fw, semantics, m, n, x)]
     preferred = semantics is Semantics.PREFERRED
     out = []
     for l in ls:
@@ -256,13 +260,13 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     """
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
-    [lfp] = least_fixpoints(fw, n, range(m, m + 1))
+    [least] = least_fixpoints(fw, n, range(m, m + 1))
     [family] = _families(
-        fw, semantics, m, n, range(l, l + 1), lfp,
-        lambda a, b: lfp[0] if a == b else least_fixpoints(
-            fw, b, range(a, a + 1))[0][0])
+        fw, semantics, m, n, range(l, l + 1), least,
+        lambda a, b: least if a == b else least_fixpoints(
+            fw, b, range(a, a + 1))[0])
     if semantics is Semantics.GROUNDED and not family:
-        return _no_grounded(fw, params, lfp[0])
+        return _no_grounded(fw, params, least)
     return _family(fw, semantics, params, family)
 
 

@@ -311,6 +311,23 @@ def test_postulates_rejects_a_negative_corpus(capsys):
     assert err.endswith("error: argument --corpus: value must be >= 0\n")
 
 
+def test_postulates_report_a_battery_mismatch(monkeypatch):
+    """A battery whose verdicts differ from the expected table exits 1
+    and says so in both outputs."""
+    import gradarg.postulates as postulates
+    name, sems, _ = postulates.EXPECTED_BATTERY[0]
+    monkeypatch.setattr(postulates, "EXPECTED_BATTERY", (
+        (name, sems, postulates.CheckResult.VIOLATED),
+        *postulates.EXPECTED_BATTERY[1:]))
+    code, out, _ = run_cli(["postulates", "--corpus", "0"])
+    assert code == 1
+    assert out.splitlines()[-1] == "battery matches expected verdicts: false"
+    code, out, _ = run_cli(
+        ["postulates", "--corpus", "0", "--output", "json"])
+    assert code == 1
+    assert json.loads(out)["result"]["battery_matches_expected"] is False
+
+
 def test_postulates_json_witnesses_are_complete():
     code, out, _ = run_cli(
         ["postulates", "--corpus", "0", "--output", "json"])
@@ -409,6 +426,19 @@ def test_instantiate_usage_errors():
                                "1: " + "!" * depth + "a\n")
         assert (code, err) == (
             2, "error: line 1: formula is nested too deeply\n")
+
+
+@pytest.mark.parametrize("grade", ["--l", "--m", "--n"])
+def test_instantiate_grades_start_at_one(grade, capsys, monkeypatch):
+    """Each grade of ``--emit infer`` takes 1 and refuses 0 with exit 2."""
+    argv = ["instantiate", "--kb", "-", "--emit", "infer", "--goal", "a"]
+    assert run_cli([*argv, grade, "1"], "1: a\n") == (0, "true\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1: a\n"))
+    with pytest.raises(SystemExit) as info:
+        main([*argv, grade, "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {grade}: value must be >= 1\n")
 
 
 @pytest.mark.parametrize("emit", ["graph", "ps", "check", "infer"])

@@ -13,9 +13,9 @@ from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (DefenseGrade, GradeOrdering, GradeParams,
                             IterationStream, compare_grades, defense_mask,
                             defense_orbit, gfp_from, graded_defense,
-                            graded_neutrality, least_fixpoints,
-                            least_tolerance, lfp_from, neutrality_mask,
-                            saturation_bound, unattacked_closure)
+                            graded_neutrality, least_fixpoints, lfp_from,
+                            neutrality_mask, saturation_bound,
+                            unattacked_closure)
 from gradarg.semantics import is_lmn_admissible
 
 grades = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
@@ -245,11 +245,11 @@ def test_saturation_bound_contract(fw):
 def test_fixpoint_columns_match_the_orbit(density):
     """Each column walk against ``defense_orbit`` at every (m, n) in
     [1, K]^2, on seeded graphs of 0-12 arguments that draw self-attacks
-    like any other pair: the least fixpoints from the empty set with
-    their least tolerance, single-point ranges, the greatest fixpoint as
-    the m-neutral set of the least fixpoint at the swapped grade (n, m),
-    and the least fixpoints containing a random start from the first m
-    at which it defends itself. Up to six arguments the least fixpoints
+    like any other pair: the least fixpoints from the empty set,
+    single-point ranges, the greatest fixpoint as the m-neutral set of
+    the least fixpoint at the swapped grade (n, m), and the least
+    fixpoints containing a random start from the first m at which it
+    defends itself. Up to six arguments the least fixpoints
     are also held to the oracle's own iteration, and the greatest to the
     union of every set inside its own defense (Knaster-Tarski)."""
     import random
@@ -268,8 +268,8 @@ def test_fixpoint_columns_match_the_orbit(density):
             for m in ms:
                 *_, least = defense_orbit(fw, m, n, 0)
                 *_, greatest = defense_orbit(fw, m, n, fw.full_mask)
-                assert lfps[m - 1] == (least, least_tolerance(fw, least))
-                swapped, _ = columns[m - 1][n - 1]
+                assert lfps[m - 1] == least
+                swapped = columns[m - 1][n - 1]
                 assert neutrality_mask(fw, m, swapped) == greatest
                 if small:
                     assert set(fw.set_from_mask(least).labels) == set(
@@ -284,9 +284,9 @@ def test_fixpoint_columns_match_the_orbit(density):
             m0 = next(m for m in ms
                       if start & ~defense_mask(fw, m, n, start) == 0)
             column = least_fixpoints(fw, n, range(m0, k + 1), start)
-            for m, (got, tolerance) in enumerate(column, start=m0):
+            for m, got in enumerate(column, start=m0):
                 *_, want = defense_orbit(fw, m, n, start)
-                assert (got, tolerance) == (want, least_tolerance(fw, want))
+                assert got == want
 
 
 # -- agreement with the classical operators ----------------------------------------------

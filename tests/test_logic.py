@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as oc
+from gradarg import logic
 from gradarg.errors import AtomBoundError, FormulaParseError
 from gradarg.logic import (And, Atom, Implies, MAX_ATOMS, MAX_DEPTH, Not, Or,
                            atoms, complement, entails, evaluate,
@@ -109,10 +110,25 @@ def test_tokens_match_the_loop_on_random_text():
             repr(text)
 
 
-def test_long_whitespace_runs_cost_one_pass():
+class _ScanBound:
+    """A token pattern behind a check that no scan runs past the last
+    non-space character of its text."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+
+    def finditer(self, text, pos=0, endpos=None):
+        end = len(text) if endpos is None else endpos
+        assert end <= len(text.rstrip()), "scan reaches trailing whitespace"
+        return self.pattern.finditer(text, pos, end)
+
+
+def test_long_whitespace_runs_cost_one_pass(monkeypatch):
     """Inner runs are skipped by the token pattern and the trailing run is
-    never scanned; without the end bound, the pattern's retries make 40,000
-    trailing spaces cost tens of seconds."""
+    never scanned: without the end bound, the pattern's retries would make
+    40,000 trailing spaces cost tens of seconds, and the scan bound fails
+    the first call instead."""
+    monkeypatch.setattr(logic, "_TOKEN", _ScanBound(logic._TOKEN))
     assert parse_formula("a" + " " * 40_000) == a
     text = "a" + " " * 40_000 + "&\u3000" + "\u2003" * 40_000 + "b"
     assert parse_formula(text + "\t" * 40_000) == And(a, b)
@@ -145,6 +161,17 @@ def test_parser_bounds_formula_depth(chain):
     assert hash(f) == hash(parse_formula(chain(MAX_DEPTH)))
     with pytest.raises(FormulaParseError, match="nested too deeply"):
         parse_formula(chain(MAX_DEPTH + 1))
+
+
+def test_deep_chains_are_refused_before_they_are_built(monkeypatch):
+    """The 160,001-operand disjunction is refused once its height passes
+    the bound, after at most MAX_DEPTH Or nodes, not the whole chain."""
+    built = []
+    monkeypatch.setattr(logic, "Or",
+                        lambda left, right: built.append(1) or Or(left, right))
+    with pytest.raises(FormulaParseError, match="nested too deeply"):
+        parse_formula(" | ".join(["a"] * 160_001))
+    assert 0 < len(built) <= MAX_DEPTH
 
 
 def test_parentheses_add_no_depth():

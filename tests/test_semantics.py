@@ -15,7 +15,8 @@ from gradarg.fixtures import (defended_two_on_one, isolated_node, mutual_pair,
 from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.framework import _maximal as maximal_by_popcount
 from gradarg.kernel import (GradeParams, graded_neutrality, least_fixpoints,
-                            lfp_from, saturation_bound, unattacked_closure)
+                            least_tolerance, lfp_from, saturation_bound,
+                            unattacked_closure)
 from gradarg.semantics import (ConvergenceReport, Existence, ExtensionFamily,
                                JustificationMode, Semantics, _candidates,
                                _family, _no_grounded, _satisfies,
@@ -242,8 +243,8 @@ def _scan_extensions(fw: ArgumentationFramework, semantics: Semantics,
     completes = [e.mask for e in _select(
         fw, Semantics.COMPLETE, params, subsets).extensions]
     if not completes:
-        [(least, _)] = least_fixpoints(fw, params.n,
-                                       range(params.m, params.m + 1))
+        [least] = least_fixpoints(fw, params.n,
+                                  range(params.m, params.m + 1))
         return _no_grounded(fw, params, least)
     least = [x for x in completes if all(x & ~y == 0 for y in completes)]
     return _family(fw, semantics, params, least)
@@ -357,9 +358,10 @@ def _greatest_fixpoint(labels, attacks, m, n):
 def test_candidates_yield_exactly_the_conflict_free_sets_between(density):
     """The search on its own, before any predicate filters its output: at
     every l in [1, K] it yields each oracle l-conflict-free set between
-    floor and ceiling exactly once. Bounds: the empty and the full set,
-    the least and greatest defense fixpoints at every (m, n), and a
-    random floor inside a random ceiling."""
+    floor and ceiling exactly once, with the tolerance it was pruned
+    with, which must be its least tolerance. Bounds: the empty and the
+    full set, the least and greatest defense fixpoints at every (m, n),
+    and a random floor inside a random ceiling."""
     rng = random.Random(8100)
     corpus = [random_framework(size, density, 8000 + size)
               for size in range(9)]
@@ -380,12 +382,51 @@ def test_candidates_yield_exactly_the_conflict_free_sets_between(density):
             free = [xs for xs in oc.powerset(labels)
                     if oc.l_conflict_free(labels, attacks, l, xs)]
             for floor, ceiling in bounds:
-                got = [frozenset(fw.set_from_mask(x).labels)
-                       for x in _candidates(fw, l, fw.set_of(floor).mask,
-                                            fw.set_of(ceiling).mask)]
+                got = []
+                for x, t in _candidates(fw, l, fw.set_of(floor).mask,
+                                        fw.set_of(ceiling).mask):
+                    assert t == least_tolerance(fw, x)
+                    got.append(frozenset(fw.set_from_mask(x).labels))
                 assert len(got) == len(set(got))
                 assert set(got) == {xs for xs in free
                                     if floor <= xs <= ceiling}
+
+
+def test_search_hits_are_counted_once(monkeypatch):
+    """Outside the search's own pruning counts, a family counts no least
+    tolerance, except grounded, which counts that of its least fixpoint
+    once. Checked at every triple in [1, K]^3 and every semantics."""
+    import gradarg.semantics as sem
+    outside: list[int] = []
+    searching = [False]
+    real_tolerance, real_candidates = sem.least_tolerance, sem._candidates
+
+    def tolerance(fw, x):
+        if not searching[0]:
+            outside.append(x)
+        return real_tolerance(fw, x)
+
+    def candidates(*args):
+        found = real_candidates(*args)
+        while True:
+            searching[0] = True
+            try:
+                hit = next(found, None)
+            finally:
+                searching[0] = False
+            if hit is None:
+                return
+            yield hit
+
+    monkeypatch.setattr(sem, "least_tolerance", tolerance)
+    monkeypatch.setattr(sem, "_candidates", candidates)
+    for size in range(7):
+        fw = random_framework(size, 0.3, 8300 + size)
+        for params in all_triples(saturation_bound(fw)):
+            for semantics in ALL_SEMANTICS:
+                outside.clear()
+                enumerate_extensions(fw, semantics, params)
+                assert len(outside) == (semantics is Semantics.GROUNDED)
 
 
 # -- the constraint gate ----------------------------------------------------------
