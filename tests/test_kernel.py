@@ -249,9 +249,9 @@ def test_fixpoint_columns_match_the_orbit(density):
     single-point ranges, the greatest fixpoint as the m-neutral set of
     the least fixpoint at the swapped grade (n, m), and the least
     fixpoints containing a random start from the first m at which it
-    defends itself. Up to six arguments the least fixpoints
-    are also held to the oracle's own iteration, and the greatest to the
-    union of every set inside its own defense (Knaster-Tarski)."""
+    defends itself. Up to six arguments the least fixpoints are also
+    held to the oracle's own iteration, and the greatest to the union of
+    every set inside its own defense (Knaster-Tarski)."""
     import random
     rng = random.Random(9100)
     corpus = [random_framework(size, density, 9000 + 100 * copy + size)
