@@ -11,29 +11,35 @@ extensions of the defeat graph can be checked rather than assumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import AtomBoundError, FormulaParseError, KnowledgeBaseError
+from .errors import FormulaParseError, KnowledgeBaseError
 from .framework import ArgumentationFramework, ArgumentSet, _maximal
 from .kernel import GradeParams
-from .logic import (MAX_ATOMS, Formula, atoms, complement, format_formula,
-                    parse_formula, strip_double_negation, truth_tables)
+from .logic import (Formula, complement, format_formula, parse_formula,
+                    strip_double_negation, truth_tables)
 from .semantics import (JustificationMode, Semantics, _check_cap,
                         enumerate_extensions)
 
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Stratified base; stratum 1 is the most preferred."""
+    """Stratified base; stratum 1 is the most preferred.
+
+    The base is compiled once, on construction: ``tables`` holds each
+    formula's truth table, in ``formulas`` order, and the table of all
+    rows, over the sorted atoms of the base. ``logic.truth_tables``
+    compiles them and refuses a base past its atom bound."""
 
     strata: tuple[tuple[Formula, ...], ...]
+    tables: tuple[tuple[int, ...], int] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         if not self.strata:
             raise KnowledgeBaseError("empty knowledge base")
         seen: set[Formula] = set()
-        names: set[str] = set()
         for level, stratum in enumerate(self.strata, start=1):
             if not stratum:
                 raise KnowledgeBaseError(f"stratum {level} is empty")
@@ -42,10 +48,7 @@ class KnowledgeBase:
                     raise KnowledgeBaseError(
                         f"duplicate formula {format_formula(f)!r}")
                 seen.add(f)
-                names |= atoms(f)
-        if len(names) > MAX_ATOMS:
-            raise AtomBoundError(
-                f"{len(names)} atoms exceed the bound {MAX_ATOMS}")
+        object.__setattr__(self, "tables", truth_tables(self.formulas))
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
@@ -120,7 +123,7 @@ def preferred_subtheories(kb: KnowledgeBase) -> tuple[frozenset[Formula], ...]:
     """All bases obtainable by greedily taking a maximal consistent
     subset of each stratum in preference order."""
     base = kb.formulas
-    tables, rows = truth_tables(base)
+    tables, rows = kb.tables
     prefixes = [(0, rows)]  # premise mask over the base, and its table
     offset = 0
     for stratum in kb.strata:
@@ -168,7 +171,7 @@ def generate_arguments(kb: KnowledgeBase,
     """Premise arguments plus every minimal consistent entailer of the
     negation of a base formula. Order: premise bitmask, then claim text."""
     base = kb.formulas
-    tables, rows = truth_tables(base)
+    tables, rows = kb.tables
     found = {(1 << i, beta)
              for i, (beta, table) in enumerate(zip(base, tables)) if table}
     # a complement's negation has the table of the formula it negates
@@ -295,8 +298,8 @@ def graded_inference(kb: KnowledgeBase, params: GradeParams, goal: Formula,
     lmn-preferred extension of the defeat graph entails the goal."""
     # compiled first so that a goal widening the atoms past the bound
     # fails before any argument is generated
-    tables, rows = truth_tables(kb.formulas + (goal,))
-    refuted = rows ^ tables.pop()
+    (*tables, goal_table), rows = truth_tables(kb.formulas + (goal,))
+    refuted = rows ^ goal_table
     index = {f: i for i, f in enumerate(kb.formulas)}
     graph = build_defeat_graph(kb, max_args)
     family = enumerate_extensions(graph.framework, Semantics.PREFERRED,

@@ -214,7 +214,7 @@ def _compile(f: Formula, atom_tables: Mapping[str, int], rows: int) -> int:
     return values[0]
 
 
-def truth_tables(formulas: Iterable[Formula]) -> tuple[list[int], int]:
+def truth_tables(formulas: Iterable[Formula]) -> tuple[tuple[int, ...], int]:
     """Each formula's table over the sorted union of their atoms, and
     the table of all rows."""
     fs = list(formulas)
@@ -228,7 +228,7 @@ def truth_tables(formulas: Iterable[Formula]) -> tuple[list[int], int]:
         name: (((1 << (1 << i)) - 1) << (1 << i))
         * (rows // ((1 << (2 << i)) - 1))
         for i, name in enumerate(names)}
-    return [_compile(f, atom_tables, rows) for f in fs], rows
+    return tuple(_compile(f, atom_tables, rows) for f in fs), rows
 
 
 def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:

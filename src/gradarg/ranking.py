@@ -17,14 +17,16 @@ arguments per grade point and transpose the masks once.
 
 The absolute sweep owns no extension rule: it reads every family from
 ``semantics._families``, the rule ``enumerate_extensions`` reads one
-grade of, and only intersects them.
+grade of, and only intersects each one into its grade point's mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import product
-from typing import Iterator, Sequence
+from operator import and_
+from typing import Iterator
 
 from .framework import ArgumentationFramework, ArgumentSet, _mask
 from .kernel import (defense_mask, defense_orbit, least_fixpoints,
@@ -218,10 +220,10 @@ def absolute_signature(
 
     One ``least_fixpoints`` walk per column n gives the least defense
     fixpoint at every (m, n), and the column at m gives the least
-    fixpoint at the swapped grade (n, m). From those, the family at
-    every l in [1, K] comes from ``semantics._families``, the same rule
-    ``enumerate_extensions`` reads one l of, and each family is
-    intersected.
+    fixpoint at the swapped grade (n, m). From those two masks, the
+    family at every l in [1, K] comes from ``semantics._families``, the
+    same rule ``enumerate_extensions`` reads one l of, and each family's
+    intersection goes straight into its grade-point mask.
     """
     if semantics not in RANKED_SEMANTICS:
         raise ValueError(
@@ -230,19 +232,13 @@ def absolute_signature(
     k = saturation_bound(fw)
     ms = range(1, k + 1)
     lfps = [least_fixpoints(fw, n, ms) for n in ms]
-
-    def least_at(m: int, n: int) -> int:
-        return lfps[n - 1][m - 1]
-
-    families: list[Sequence[int]] = [()] * k ** 3
+    masks = [0] * k ** 3
     for n in ms:
         for m in ms:
-            families[(m - 1) * k + n - 1::k * k] = _families(
-                fw, semantics, m, n, ms, lfps[n - 1][m - 1], least_at)
-    masks = [fw.full_mask] * k ** 3
-    for i, family in enumerate(families):
-        for x in family:
-            masks[i] &= x
+            families = _families(fw, semantics, m, n, ms, lfps[n - 1][m - 1],
+                                 lfps[m - 1][n - 1])
+            masks[(m - 1) * k + n - 1::k * k] = [
+                reduce(and_, family, fw.full_mask) for family in families]
     return _signatures(fw, masks, k, f"absolute:{semantics.value}")
 
 

@@ -22,21 +22,24 @@ exact least tolerance included, so the bounds only prune.
 The extension predicate splits in two parts: the (m, n) part
 ``_passes_mn``, and l-conflict-freeness, which holds exactly when the
 set's ``least_tolerance`` is at most l. The extension rule exists once,
-in ``_families``: for one defense grade (m, n) it gives the family at
-every l of a range, from one search whose hits pass ``_passes_mn`` and
-keep the least tolerance the search counted when it pruned, so no hit
-is counted twice. ``enumerate_extensions`` reads it at one l, and the
-absolute ranking sweep in ``ranking`` at every l in [1, K]. Both parts
-back ``is_lmn_admissible``, ``is_lmn_complete`` and ``is_lmn_stable``,
-and the tests hold the search against an exhaustive scan over all 2^n
-subsets that feeds its candidates to those parts too.
+in ``_families``: for one defense grade (m, n), handed the least
+fixpoints at (m, n) and at the swapped grade (n, m) as masks, it gives
+the family at every l of a range, from one search whose hits pass
+``_passes_mn`` and keep the least tolerance the search counted when it
+pruned, so no hit is counted twice. ``enumerate_extensions`` reads it
+at one l, and the absolute ranking sweep in ``ranking`` at every l in
+[1, K]. Both parts back ``is_lmn_admissible``, ``is_lmn_complete`` and
+``is_lmn_stable``, and the tests hold the search against an exhaustive
+scan over all 2^n subsets that feeds its candidates to those parts too.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from functools import reduce
+from operator import and_, or_
+from typing import Iterator, Sequence
 
 from .errors import (ConstraintViolatedError, NoExtensionError,
                      NotAdmissibleError, NotReachingError, TooLargeError)
@@ -195,7 +198,8 @@ def _candidates(fw: ArgumentationFramework, l: int, floor: int,
     t = least_tolerance(fw, floor)
     if t > l:
         return
-    free = [1 << i for i in range(len(fw)) if (ceiling & ~floor) >> i & 1]
+    rest = ceiling & ~floor
+    free = [1 << i for i in range(rest.bit_length()) if rest >> i & 1]
     stack = [(floor, t, 0)]
     while stack:
         x, t, k = stack.pop()
@@ -209,18 +213,18 @@ def _candidates(fw: ArgumentationFramework, l: int, floor: int,
 
 def _families(fw: ArgumentationFramework, semantics: Semantics, m: int,
               n: int, ls: range, least: int,
-              least_at: Callable[[int, int], int]) -> list[Sequence[int]]:
+              swapped: int) -> list[Sequence[int]]:
     """The extension family at (l, m, n) for each l of the ascending
     range ls, as masks in search order.
 
-    least is the least (m, n) defense fixpoint, as a ``least_fixpoints``
-    walk gives it. Grounded needs nothing more than its least tolerance:
-    every fixpoint contains the least one, so it is the least complete
-    extension at each l where it is l-conflict-free, and no complete
-    extension exists at the others. The other semantics share one
-    ``_candidates`` search at the largest l: l-conflict-free sets inside
-    the greatest (m, n) fixpoint, the m-neutral set of least_at(n, m),
-    the least fixpoint at the swapped grade; for complete, preferred and
+    least is the least (m, n) defense fixpoint and swapped the least
+    (n, m) one, as ``least_fixpoints`` walks give them. Grounded needs
+    nothing more than the least tolerance of least: every fixpoint
+    contains the least one, so it is the least complete extension at
+    each l where it is l-conflict-free, and no complete extension exists
+    at the others. The other semantics share one ``_candidates`` search
+    at the largest l: l-conflict-free sets inside the greatest (m, n)
+    fixpoint, the m-neutral set of swapped; for complete, preferred and
     stable they also contain the least one. A stable extension is its
     own m-neutral set, hence m-conflict-free, so stable searches at
     tolerance min(l, m). Each hit that passes ``_passes_mn`` keeps the
@@ -231,7 +235,7 @@ def _families(fw: ArgumentationFramework, semantics: Semantics, m: int,
     if semantics is Semantics.GROUNDED:
         hit, min_l = (least,), least_tolerance(fw, least)
         return [hit if min_l <= l else () for l in ls]
-    greatest = neutrality_mask(fw, m, least_at(n, m))
+    greatest = neutrality_mask(fw, m, swapped)
     floor = 0 if semantics is Semantics.ADMISSIBLE else least
     top = min(ls[-1], m) if semantics is Semantics.STABLE else ls[-1]
     hits = [(x, t) for x, t in _candidates(fw, top, floor, greatest)
@@ -253,18 +257,16 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     Valid at every parameter triple; exponential in the argument count
     in the worst case, hence the cap. The family is ``_families`` at the
     one point l, from one-point ``least_fixpoints`` walks at (m, n) and,
-    when a search needs the greatest fixpoint and m != n, at (n, m); at
-    m == n the swapped grade is the same grade. Every candidate
-    is checked against the predicate itself, so the answers are those of
-    a full subset scan. Extensions come out sorted by (size, bitmask).
+    unless m == n, where the swapped grade is the same grade, at (n, m).
+    Every candidate is checked against the predicate itself, so the
+    answers are those of a full subset scan. Extensions come out sorted
+    by (size, bitmask).
     """
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
     [least] = least_fixpoints(fw, n, range(m, m + 1))
-    [family] = _families(
-        fw, semantics, m, n, range(l, l + 1), least,
-        lambda a, b: least if a == b else least_fixpoints(
-            fw, b, range(a, a + 1))[0])
+    [swapped] = [least] if m == n else least_fixpoints(fw, m, range(n, n + 1))
+    [family] = _families(fw, semantics, m, n, range(l, l + 1), least, swapped)
     if semantics is Semantics.GROUNDED and not family:
         return _no_grounded(fw, params, least)
     return _family(fw, semantics, params, family)
@@ -399,13 +401,8 @@ def justified(fw: ArgumentationFramework, semantics: Semantics,
     Over an empty family the sceptical set is everything (empty
     intersection over a finite universe) and the credulous set is empty.
     """
-    family = enumerate_extensions(fw, semantics, params, max_args)
-    if mode is JustificationMode.CREDULOUS:
-        mask = 0
-        for ext in family.extensions:
-            mask |= ext.mask
-    else:
-        mask = fw.full_mask
-        for ext in family.extensions:
-            mask &= ext.mask
+    masks = (ext.mask for ext in
+             enumerate_extensions(fw, semantics, params, max_args).extensions)
+    mask = (reduce(or_, masks, 0) if mode is JustificationMode.CREDULOUS
+            else reduce(and_, masks, fw.full_mask))
     return JustifiedReport(semantics, params, mode, ArgumentSet(fw, mask))

@@ -499,6 +499,15 @@ def test_goal_atoms_past_the_bound_fail_before_generation(monkeypatch):
         1, "", "error: 17 atoms exceed the truth-table bound 16\n")
 
 
+def test_a_base_past_the_atom_bound_fails_with_one_line(tmp_path):
+    path = tmp_path / "wide.kb"
+    path.write_text("".join(f"1: p{i}\n" for i in range(17)))
+    code, out, err = run_cli(
+        ["instantiate", "--kb", str(path), "--emit", "ps"])
+    assert (code, out, err) == (
+        1, "", "error: 17 atoms exceed the truth-table bound 16\n")
+
+
 # -- packaging -------------------------------------------------------------------
 
 

@@ -285,6 +285,22 @@ def test_correspondence_on_random_corpus():
             oc.preferred_subtheories([list(s) for s in kb.strata]))
 
 
+def test_a_parsed_base_is_compiled_once(monkeypatch):
+    """``parse_kb`` compiles the base's truth tables; the subtheories and
+    the argument generation of a correspondence check read them and
+    compile nothing more."""
+    compiles = []
+    real = instantiate.truth_tables
+    monkeypatch.setattr(instantiate, "truth_tables",
+                        lambda fs: compiles.append(fs) or real(fs))
+    for text in (TWO_PS_BASE, CONFLICT_BASE, *WIDE_BASES):
+        compiles.clear()
+        kb = parse_kb(text)
+        assert compiles == [kb.formulas]
+        assert ps_correspondence_check(kb).matches
+        assert len(compiles) == 1
+
+
 # -- graded inference ------------------------------------------------------------
 
 

@@ -223,6 +223,22 @@ def test_absolute_signature_matches_oracle():
             assert {lab: set(s.grades) for lab, s in sig.items()} == want
 
 
+def test_absolute_signature_walks_each_column_once(monkeypatch):
+    """A sweep makes exactly K ``least_fixpoints`` walks, one per column
+    n; the swapped-grade fixpoints come from those same columns."""
+    import gradarg.ranking as ranking
+    walks = []
+    real = ranking.least_fixpoints
+    monkeypatch.setattr(ranking, "least_fixpoints",
+                        lambda *args: walks.append(args) or real(*args))
+    for fw in [*seeded_corpus(6, sizes=(2, 6), edge_prob=0.3, seed0=2400),
+               chain_pair()]:
+        for semantics in ABSOLUTE_SEMANTICS:
+            walks.clear()
+            absolute_signature(fw, semantics)
+            assert len(walks) == saturation_bound(fw)
+
+
 # -- absolute order --------------------------------------------------------------
 
 

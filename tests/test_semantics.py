@@ -191,6 +191,19 @@ def test_enumeration_bound(monkeypatch):
         resolve_max_args()
 
 
+def test_a_cap_of_one_is_the_smallest_accepted(monkeypatch):
+    """A cap below 1 would refuse every framework and is rejected; 1
+    itself is a cap, from the argument or from the environment."""
+    assert resolve_max_args(1) == 1
+    with pytest.raises(ValueError, match="max_args must be positive"):
+        resolve_max_args(0)
+    monkeypatch.setenv("GRADARG_MAX_ARGS", "1")
+    assert resolve_max_args() == 1
+    monkeypatch.setenv("GRADARG_MAX_ARGS", "0")
+    with pytest.raises(ValueError, match="GRADARG_MAX_ARGS must be positive"):
+        resolve_max_args()
+
+
 # -- the exhaustive reference scan --------------------------------------
 
 
@@ -427,6 +440,23 @@ def test_search_hits_are_counted_once(monkeypatch):
                 outside.clear()
                 enumerate_extensions(fw, semantics, params)
                 assert len(outside) == (semantics is Semantics.GROUNDED)
+
+
+def test_enumeration_walks_at_most_two_points(monkeypatch):
+    """``enumerate_extensions`` walks the one point (m, n) and, unless
+    m == n, the swapped point (n, m); every semantics takes both."""
+    import gradarg.semantics as sem
+    walks = []
+    real = sem.least_fixpoints
+    monkeypatch.setattr(sem, "least_fixpoints",
+                        lambda *args: walks.append(args) or real(*args))
+    for size in range(1, 6):
+        fw = random_framework(size, 0.3, 8400 + size)
+        for params in all_triples(saturation_bound(fw)):
+            for semantics in ALL_SEMANTICS:
+                walks.clear()
+                enumerate_extensions(fw, semantics, params)
+                assert len(walks) == 1 + (params.m != params.n)
 
 
 # -- the constraint gate ----------------------------------------------------------
