@@ -189,11 +189,7 @@ def test_enumeration_bound(monkeypatch):
     monkeypatch.setenv("GRADARG_MAX_ARGS", "lots")
     with pytest.raises(ValueError):
         resolve_max_args()
-
-
-def test_a_cap_of_one_is_the_smallest_accepted(monkeypatch):
-    """A cap below 1 would refuse every framework and is rejected; 1
-    itself is a cap, from the argument or from the environment."""
+    # 1 is the smallest cap, from the argument or from the environment
     assert resolve_max_args(1) == 1
     with pytest.raises(ValueError, match="max_args must be positive"):
         resolve_max_args(0)

@@ -12,13 +12,13 @@ A mutation site is one of:
 A run applies one mutant at a time to a fresh copy of ``src/``,
 ``tests/`` and ``tools/`` in a temporary directory, never to the
 checkout, and runs the tier-1 command there with ``-x`` under a
-timeout. A mutant is killed when the suite fails, survives when it
-passes, and times out otherwise. The run prints the three counts and
-every survivor.
+timeout of ``TIMEOUT`` seconds. A mutant is killed when the suite
+fails, survives when it passes, and times out otherwise. The run
+prints the three counts and every survivor.
 
 Usage:
     python3 tools/mutants.py --list FILE
-    python3 tools/mutants.py FILE [--sample N] [--seed S] [--timeout SEC]
+    python3 tools/mutants.py FILE [--sample N] [--seed S]
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools")
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider")
+TIMEOUT = 180
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
          ast.Is: ("is", "is not"), ast.IsNot: ("is not", "is"),
@@ -128,7 +129,7 @@ def describe(path: str, site: Site) -> str:
     return f"{path}:{site.line}:{site.col + 1}: {site.old} -> {site.new}"
 
 
-def run(path: Path, source: bytes, site: Site, timeout: float) -> str:
+def run(path: Path, source: bytes, site: Site) -> str:
     """'killed', 'survived' or 'timeout' for one mutant of the source
     its site was found in."""
     relative = path.resolve().relative_to(ROOT)
@@ -142,7 +143,7 @@ def run(path: Path, source: bytes, site: Site, timeout: float) -> str:
         try:
             done = subprocess.run([sys.executable, *TIER1], cwd=tmp, env=env,
                                   stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=timeout)
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -156,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sample", type=int, default=None,
                         help="run a seeded sample of this many sites")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=180.0,
-                        help="seconds per mutant run")
     args = parser.parse_args(argv)
     source = args.file.read_bytes()
     found = sites(source)
@@ -171,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     outcomes: dict[str, list[Site]] = {
         "killed": [], "survived": [], "timeout": []}
     for site in found:
-        outcome = run(args.file, source, site, args.timeout)
+        outcome = run(args.file, source, site)
         outcomes[outcome].append(site)
         print(f"{outcome:8} {describe(str(args.file), site)}", flush=True)
     print(", ".join(f"{len(v)} {k}" for k, v in outcomes.items()))
