@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (FormulaParseError, FrameworkParseError, GradargError,
@@ -28,8 +29,8 @@ from .kernel import GradeParams
 from .logic import format_formula, parse_formula
 from .postulates import (CheckResult, PostulateVerdict, corpus_checks,
                          named_counterexamples_match)
-from .ranking import (RANKED_SEMANTICS, ArgumentPartialOrder, absolute_rank,
-                      contextual_rank)
+from .ranking import (RANKED_SEMANTICS, ArgumentPartialOrder, _grid,
+                      absolute_rank, contextual_rank)
 from .semantics import (Existence, JustificationMode, Semantics,
                         enumerate_extensions)
 
@@ -124,13 +125,35 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 _SIGNATURES = '\n    "signatures": '
 
 
+def _grade_lists(order: ArgumentPartialOrder) -> dict[int, str]:
+    """Each distinct signature's sorted grade points, keyed by its bits,
+    as the indented encoder writes them at a signature's depth.
+
+    Ascending bits are the points in sorted order, so a signature's
+    list is the texts of its set bits joined in bit order. The encoder
+    writes an int as ``str(int)``, so one format string gives a point's
+    text from its coordinates, and each point of the grid is written
+    once per call. An order's signatures come from one sweep and share
+    its bound."""
+    sigs = order.signatures.values()
+    bound = max((sig.bound for sig in sigs), default=1)
+    arity = 2 if order.kind == "contextual" else 3
+    point = "\n        [" + ",".join(["\n          %d"] * arity) + "\n        ]"
+    texts = [point % p for p in _grid(bound, arity)]
+    lists = {}
+    for bits in {sig.bits for sig in sigs}:
+        chosen = compress(texts, map("1".__eq__, f"{bits:b}"[::-1]))
+        lists[bits] = "[" + ",".join(chosen) + "\n      ]" if bits else "[]"
+    return lists
+
+
 def _rank_json(params: dict[str, Any], order: ArgumentPartialOrder) -> str:
     """The rank envelope, byte for byte as ``_envelope`` writes it with
     each signature's sorted grade points.
 
-    With indent set the encoder runs in pure Python, and a large order's
-    signatures repeat a few grade sets, so each distinct set is encoded
-    once and spliced in. The envelope is written with an empty signatures
+    With indent set the encoder runs in pure Python, so the grade points
+    are written by ``_grade_lists`` instead, once per distinct signature,
+    and spliced in. The envelope is written with an empty signatures
     map, found by its key line: the encoder escapes every control
     character, so a label cannot hold the newline that starts it.
     Keys are encoded alone, as the encoder encodes them."""
@@ -139,9 +162,7 @@ def _rank_json(params: dict[str, Any], order: ArgumentPartialOrder) -> str:
               "hasse": [list(e) for e in order.hasse_edges()]}
     head, tail = _envelope("rank", params, result, []).split(
         _SIGNATURES + "{}", 1)
-    distinct = {sig.bits: sig for sig in order.signatures.values()}
-    encoded = {bits: json.dumps(sorted(sig.grades), indent=2).replace(
-        "\n", "\n      ") for bits, sig in distinct.items()}
+    encoded = _grade_lists(order)
     entries = [f"\n      {json.dumps(label)}: {encoded[sig.bits]}"
                for label, sig in order.signatures.items()]
     body = "{" + ",".join(entries) + "\n    }" if entries else "{}"

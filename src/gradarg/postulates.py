@@ -12,14 +12,25 @@ both compare with the order of the framework itself.
 check_named_counterexamples runs the whole battery on fixed graphs with
 known outcomes; corpus_checks sweeps random graphs for the properties
 that are expected to hold universally.
+
+Checkers that run in sequence rank the same framework again: corpus_checks
+ranks each of its frameworks eleven times, under each semantics once for
+abstraction, independence and unattacked equivalence, and under two for
+void precedence. So every ranking goes through _rank, which reads a
+memo keyed on (framework, semantics) while one is open. corpus_checks
+opens a fresh memo for its call, and named_counterexamples_match one
+for the battery; each closes it when it returns, so nothing is kept
+between calls. A checker called on its own opens none and ranks afresh.
 """
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import fixtures
 from .framework import (ArgumentationFramework, connected_components,
@@ -59,6 +70,33 @@ class PostulateVerdict:
         return text
 
 
+_Memo = dict[tuple[ArgumentationFramework, Semantics], ArgumentPartialOrder]
+_MEMO: ContextVar[_Memo | None] = ContextVar("postulates_memo", default=None)
+
+
+@contextmanager
+def _memo() -> Iterator[None]:
+    """A fresh ranking memo for the body of the with block."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _rank(fw: ArgumentationFramework, sem: Semantics) -> ArgumentPartialOrder:
+    """absolute_rank(fw, sem), kept in the open memo if there is one.
+    Equal frameworks share a key: they have the same labels in the same
+    order and the same attacker rows, so they rank alike."""
+    memo = _MEMO.get()
+    if memo is None:
+        return absolute_rank(fw, sem)
+    order = memo.get((fw, sem))
+    if order is None:
+        order = memo[fw, sem] = absolute_rank(fw, sem)
+    return order
+
+
 def _pairs(labels: Sequence[str]) -> list[tuple[str, str]]:
     return [(x, y) for x in labels for y in labels if x != y]
 
@@ -80,7 +118,7 @@ def _first_failure(name: str, framework: ArgumentationFramework,
     filled with x, y, sem and rel. Labels enter only as format
     arguments, never as template text, since they may contain braces."""
     for sem in semantics:
-        order = absolute_rank(framework, sem)
+        order = _rank(framework, sem)
         test = required(sem, order)
         for x, y in pairs:
             if not test(x, y):
@@ -117,7 +155,7 @@ def check_abstraction(framework: ArgumentationFramework,
     renamed = ArgumentationFramework(sorted(renamed.labels), renamed.attacks)
 
     def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
-        mapped = absolute_rank(renamed, sem)
+        mapped = _rank(renamed, sem)
         return lambda x, y: order.compare(x, y) is mapped.compare(
             permutation[x], permutation[y])
 
@@ -140,7 +178,7 @@ def check_independence(framework: ArgumentationFramework,
     def required(sem: Semantics, order: ArgumentPartialOrder) -> _PairTest:
         whole, part = order._existence_safe(), {}
         for component in components:
-            cut = absolute_rank(component, sem)._existence_safe()
+            cut = _rank(component, sem)._existence_safe()
             part.update(dict.fromkeys(component.labels, cut))
         return lambda x, y: (ranks(whole, x, y)
                              or not ranks(part[x], x, y))
@@ -397,11 +435,24 @@ EXPECTED_BATTERY: tuple[tuple[str, tuple[Semantics, ...], CheckResult], ...] = (
 
 
 def named_counterexamples_match() -> tuple[bool, tuple[PostulateVerdict, ...]]:
-    verdicts = check_named_counterexamples()
+    with _memo():
+        verdicts = check_named_counterexamples()
     ok = len(verdicts) == len(EXPECTED_BATTERY) and all(
         v.postulate == name and v.semantics == sems and v.result is result
         for v, (name, sems, result) in zip(verdicts, EXPECTED_BATTERY))
     return ok, verdicts
+
+
+def _corpus(count: int, seed: int,
+            ) -> Iterator[tuple[ArgumentationFramework, dict[str, str]]]:
+    """The seeded random corpus of corpus_checks: each framework with the
+    shuffle of its labels that abstraction renames it by."""
+    for i in range(count):
+        fw = random_framework(3 + i % 4, 0.25, seed + i)
+        rng = random.Random((seed + i) * 7919)
+        shuffled = list(fw.labels)
+        rng.shuffle(shuffled)
+        yield fw, dict(zip(fw.labels, shuffled))
 
 
 def corpus_checks(count: int = 30,
@@ -410,7 +461,7 @@ def corpus_checks(count: int = 30,
     attack drawn with probability 0.25), the properties that must hold on
     every framework. One verdict per property, in the order first
     checked; the first violating framework, if any, becomes the
-    witness."""
+    witness. The call ranks each (framework, semantics) once."""
     found: dict[str, PostulateVerdict] = {}
 
     def record(verdict: PostulateVerdict) -> None:
@@ -419,14 +470,10 @@ def corpus_checks(count: int = 30,
                                and verdict.result is CheckResult.VIOLATED):
             found[verdict.postulate] = verdict
 
-    for i in range(count):
-        fw = random_framework(3 + i % 4, 0.25, seed + i)
-        rng = random.Random((seed + i) * 7919)
-        shuffled = list(fw.labels)
-        rng.shuffle(shuffled)
-        permutation = dict(zip(fw.labels, shuffled))
-        record(check_abstraction(fw, permutation))
-        record(check_independence(fw))
-        record(check_void_precedence(fw))
-        record(check_unattacked_equivalence(fw))
+    with _memo():
+        for fw, permutation in _corpus(count, seed):
+            record(check_abstraction(fw, permutation))
+            record(check_independence(fw))
+            record(check_void_precedence(fw))
+            record(check_unattacked_equivalence(fw))
     return tuple(found.values())

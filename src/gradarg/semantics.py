@@ -258,6 +258,7 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     in the worst case, hence the cap. The family is ``_families`` at the
     one point l, from one-point ``least_fixpoints`` walks at (m, n) and,
     unless m == n, where the swapped grade is the same grade, at (n, m).
+    Grounded reads only the (m, n) fixpoint, so it walks once.
     Every candidate is checked against the predicate itself, so the
     answers are those of a full subset scan. Extensions come out sorted
     by (size, bitmask).
@@ -265,7 +266,8 @@ def enumerate_extensions(fw: ArgumentationFramework, semantics: Semantics,
     _check_cap(len(fw), max_args)
     l, m, n = params.l, params.m, params.n
     [least] = least_fixpoints(fw, n, range(m, m + 1))
-    [swapped] = [least] if m == n else least_fixpoints(fw, m, range(n, n + 1))
+    [swapped] = ([least] if m == n or semantics is Semantics.GROUNDED
+                 else least_fixpoints(fw, m, range(n, n + 1)))
     [family] = _families(fw, semantics, m, n, range(l, l + 1), least, swapped)
     if semantics is Semantics.GROUNDED and not family:
         return _no_grounded(fw, params, least)

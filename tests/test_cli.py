@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from gradarg.errors import (FormulaParseError, FrameworkParseError,
                             GradargError, KnowledgeBaseError)
 from gradarg.framework import ArgumentationFramework
 from gradarg.logic import MAX_DEPTH
-from gradarg.ranking import absolute_rank, contextual_rank
+from gradarg.ranking import (RANKED_SEMANTICS, ArgumentPartialOrder,
+                            JustificationSignature, absolute_rank,
+                            contextual_rank)
 from gradarg.semantics import Semantics
 
 THREE_CYCLE = "a\nb\nc\n#\na b\nb c\nc a\n"
@@ -241,14 +244,69 @@ def test_rank_json_splice_is_byte_identical(fw, context, semantics):
         start = fw.set_from_mask(context & fw.full_mask)
         order = contextual_rank(fw, start)
         params = {"mode": "contextual", "start": list(start.labels)}
+    assert _rank_json(params, order) == _rank_oracle(params, order)
+
+
+def _rank_oracle(params, order) -> str:
+    """The rank envelope as one json.dumps, from the decoded grades."""
     result = {"kind": order.kind,
               "signatures": {label: sorted(list(g) for g in sig.grades)
                              for label, sig in order.signatures.items()},
               "classes": [list(c) for c in order.equivalence_classes()],
               "hasse": [list(e) for e in order.hasse_edges()]}
-    assert _rank_json(params, order) == json.dumps(
-        {"command": "rank", "params": params, "result": result,
-         "witnesses": []}, indent=2)
+    return json.dumps({"command": "rank", "params": params, "result": result,
+                       "witnesses": []}, indent=2)
+
+
+def _both_orders(fw):
+    """The empty-context order and the absolute orders of fw, each with
+    the params its rank command writes."""
+    yield {"mode": "contextual", "start": []}, contextual_rank(fw)
+    for semantics in RANKED_SEMANTICS:
+        yield ({"mode": "absolute", "semantics": semantics.value},
+               absolute_rank(fw, semantics))
+
+
+def test_rank_json_writes_an_empty_signature_as_an_empty_list():
+    """No sweep leaves an argument with no grade point (at m = K every
+    argument is defended), so the order is built by hand: one empty
+    signature, one full, each of pairs and of triples."""
+    fw = ArgumentationFramework(["a", "b"], [("a", "b")])
+    for kind, points in (("contextual", 4), ("absolute:grounded", 8)):
+        order = ArgumentPartialOrder(fw, {
+            "a": JustificationSignature("a", 0, 2, kind),
+            "b": JustificationSignature("b", (1 << points) - 1, 2, kind)},
+            kind)
+        assert order.signatures["a"].grades == frozenset()
+        text = _rank_json({"mode": "test"}, order)
+        assert text == _rank_oracle({"mode": "test"}, order)
+        assert '"a": []' in text
+
+
+@pytest.mark.parametrize("fw", [
+    ArgumentationFramework([], []),
+    ArgumentationFramework(["a", "b", "c"], []),
+    ArgumentationFramework(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+], ids=["no-arguments", "attack-free-K1", "chain-K2"])
+def test_rank_json_matches_the_encoder_on_small_bounds(fw):
+    """K = 1 on an attack-free graph, where every order has one point,
+    and K = 2 on a chain, for the contextual (pair) and absolute
+    (triple) orders."""
+    for params, order in _both_orders(fw):
+        assert _rank_json(params, order) == _rank_oracle(params, order)
+
+
+def test_rank_json_matches_the_encoder_at_the_largest_bound():
+    """K = 25, the largest bound under the 24-argument cap: one argument
+    attacked by all 24, itself included, so the signatures spread over
+    the 625 pairs and the 15,625 triples. Only the grounded order of the
+    absolute ones is encoded: the oracle takes about 1.7 s on each 22 MB
+    envelope, and the triples are written alike for every semantics."""
+    labels = [f"a{i}" for i in range(24)]
+    fw = ArgumentationFramework(labels, [(x, "a0") for x in labels])
+    for params, order in islice(_both_orders(fw), 2):
+        assert order.signatures["a0"].bound == 25
+        assert _rank_json(params, order) == _rank_oracle(params, order)
 
 
 def test_rank_dot_escapes_tgf_labels():

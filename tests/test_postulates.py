@@ -168,9 +168,8 @@ def test_abstraction_on_rotation_and_identity():
     assert check_abstraction(fw, identity).result is CheckResult.HOLDS
 
 
-def test_abstraction_catches_a_ranking_that_reads_indices(monkeypatch):
-    """The renamed copy lists its arguments in sorted label order, so a
-    ranking that treats index 0 specially breaks abstraction."""
+def _biased_signature(monkeypatch) -> None:
+    """A ranking that favours index 0, so abstraction fails."""
     real = ranking.absolute_signature
 
     def biased(fw, semantics, max_args=None):
@@ -180,6 +179,12 @@ def test_abstraction_catches_a_ranking_that_reads_indices(monkeypatch):
         return sigs
 
     monkeypatch.setattr(ranking, "absolute_signature", biased)
+
+
+def test_abstraction_catches_a_ranking_that_reads_indices(monkeypatch):
+    """The renamed copy lists its arguments in sorted label order, so a
+    ranking that treats index 0 specially breaks abstraction."""
+    _biased_signature(monkeypatch)
     verdicts = corpus_checks(30, 0)
     names = [v.postulate for v in verdicts]
     assert len(names) == len(set(names))
@@ -401,3 +406,87 @@ def test_corpus_checks_hold_universally():
 
 def test_corpus_checks_are_deterministic():
     assert corpus_checks(8, seed=31) == corpus_checks(8, seed=31)
+
+
+# -- the ranking memo ------------------------------------------------------------
+
+
+def _count_signatures(monkeypatch) -> list:
+    """Record the (framework, semantics) of every absolute sweep."""
+    swept = []
+    real = ranking.absolute_signature
+
+    def counting(fw, semantics, max_args=None):
+        swept.append((fw, semantics))
+        return real(fw, semantics, max_args)
+
+    monkeypatch.setattr(ranking, "absolute_signature", counting)
+    return swept
+
+
+def _folded_without_memo(count, seed):
+    """corpus_checks rebuilt from standalone checker calls, which open no
+    memo, folded by its rule: the first verdict of each postulate, unless
+    a later one is its first violation."""
+    found = {}
+    for fw, permutation in postulates._corpus(count, seed):
+        for verdict in (check_abstraction(fw, permutation),
+                        check_independence(fw), check_void_precedence(fw),
+                        check_unattacked_equivalence(fw)):
+            current = found.get(verdict.postulate)
+            if current is None or (current.result is CheckResult.HOLDS
+                                   and verdict.result is CheckResult.VIOLATED):
+                found[verdict.postulate] = verdict
+    return tuple(found.values())
+
+
+@pytest.mark.parametrize("count", [10, 30])
+def test_corpus_checks_sweep_each_framework_once_per_semantics(count,
+                                                               monkeypatch):
+    """Within one call each (framework, semantics) is swept once; the
+    same checks made without the memo sweep the same pairs, most of them
+    several times over."""
+    swept = _count_signatures(monkeypatch)
+    corpus_checks(count, 0)
+    memoised = list(swept)
+    swept.clear()
+    _folded_without_memo(count, 0)
+    assert len(memoised) == len(set(memoised)) == len(set(swept))
+    assert set(memoised) == set(swept)
+    assert len(swept) > 2 * len(memoised)
+
+
+def test_the_battery_sweeps_each_framework_once_per_semantics(monkeypatch):
+    swept = _count_signatures(monkeypatch)
+    named_counterexamples_match()
+    memoised = list(swept)
+    swept.clear()
+    check_named_counterexamples()
+    assert len(memoised) == len(set(memoised)) == len(set(swept))
+    assert len(swept) > len(memoised)
+
+
+@pytest.mark.parametrize("biased", [False, True])
+@pytest.mark.parametrize("count, seed", [(10, 0), (30, 0), (12, 77),
+                                         (25, 4100)])
+def test_corpus_checks_match_the_checks_without_memo(count, seed, biased,
+                                                     monkeypatch):
+    """Verdicts and witnesses, also under a ranking that violates
+    abstraction, so that a witness is compared too."""
+    if biased:
+        _biased_signature(monkeypatch)
+    verdicts = corpus_checks(count, seed)
+    assert verdicts == _folded_without_memo(count, seed)
+    assert any(v.witness is not None for v in verdicts) is biased
+
+
+def test_no_memo_outlives_its_call(monkeypatch):
+    """A call after an unpatched one still sees a patched ranking, and
+    no memo is left open."""
+    assert all(v.result is CheckResult.HOLDS for v in corpus_checks(30, 0))
+    named_counterexamples_match()
+    assert postulates._MEMO.get() is None
+    _biased_signature(monkeypatch)
+    [abstraction] = [v for v in corpus_checks(30, 0)
+                     if v.postulate == "abstraction"]
+    assert abstraction.result is CheckResult.VIOLATED

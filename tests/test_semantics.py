@@ -438,21 +438,42 @@ def test_search_hits_are_counted_once(monkeypatch):
                 assert len(outside) == (semantics is Semantics.GROUNDED)
 
 
-def test_enumeration_walks_at_most_two_points(monkeypatch):
-    """``enumerate_extensions`` walks the one point (m, n) and, unless
-    m == n, the swapped point (n, m); every semantics takes both."""
+def _count_walks(monkeypatch) -> list:
     import gradarg.semantics as sem
     walks = []
     real = sem.least_fixpoints
     monkeypatch.setattr(sem, "least_fixpoints",
                         lambda *args: walks.append(args) or real(*args))
+    return walks
+
+
+def test_enumeration_walks_at_most_two_points(monkeypatch):
+    """``enumerate_extensions`` walks the one point (m, n) and, unless
+    m == n, the swapped point (n, m); every semantics but grounded takes
+    both."""
+    walks = _count_walks(monkeypatch)
     for size in range(1, 6):
         fw = random_framework(size, 0.3, 8400 + size)
         for params in all_triples(saturation_bound(fw)):
             for semantics in ALL_SEMANTICS:
+                if semantics is Semantics.GROUNDED:
+                    continue
                 walks.clear()
                 enumerate_extensions(fw, semantics, params)
                 assert len(walks) == 1 + (params.m != params.n)
+
+
+def test_grounded_enumeration_walks_one_point(monkeypatch):
+    """Grounded reads only the least (m, n) fixpoint, so it walks (m, n)
+    alone, also where m != n."""
+    walks = _count_walks(monkeypatch)
+    for size in range(1, 6):
+        fw = random_framework(size, 0.3, 8400 + size)
+        for params in all_triples(saturation_bound(fw)):
+            walks.clear()
+            enumerate_extensions(fw, Semantics.GROUNDED, params)
+            [(_, n, ms)] = walks
+            assert (n, list(ms)) == (params.n, [params.m])
 
 
 # -- the constraint gate ----------------------------------------------------------
