@@ -443,18 +443,6 @@ def named_counterexamples_match() -> tuple[bool, tuple[PostulateVerdict, ...]]:
     return ok, verdicts
 
 
-def _corpus(count: int, seed: int,
-            ) -> Iterator[tuple[ArgumentationFramework, dict[str, str]]]:
-    """The seeded random corpus of corpus_checks: each framework with the
-    shuffle of its labels that abstraction renames it by."""
-    for i in range(count):
-        fw = random_framework(3 + i % 4, 0.25, seed + i)
-        rng = random.Random((seed + i) * 7919)
-        shuffled = list(fw.labels)
-        rng.shuffle(shuffled)
-        yield fw, dict(zip(fw.labels, shuffled))
-
-
 def corpus_checks(count: int = 30,
                   seed: int = 0) -> tuple[PostulateVerdict, ...]:
     """Aggregate, over a seeded random corpus (3 to 6 arguments, each
@@ -471,7 +459,12 @@ def corpus_checks(count: int = 30,
             found[verdict.postulate] = verdict
 
     with _memo():
-        for fw, permutation in _corpus(count, seed):
+        for i in range(count):
+            fw = random_framework(3 + i % 4, 0.25, seed + i)
+            rng = random.Random((seed + i) * 7919)
+            shuffled = list(fw.labels)
+            rng.shuffle(shuffled)
+            permutation = dict(zip(fw.labels, shuffled))
             record(check_abstraction(fw, permutation))
             record(check_independence(fw))
             record(check_void_precedence(fw))

@@ -379,6 +379,16 @@ def test_path_addition_copies_under_a_fresh_suffix():
         is w.relation
 
 
+def test_path_addition_grafts_under_a_fresh_prefix():
+    """A base label that starts with w would clash with the chain's w1,
+    so the chain takes ww."""
+    fw = ArgumentationFramework(("a", "w1"), [("w1", "a")])
+    defense = check_attack_path_addition(fw, "a", length=2)
+    assert defense.result is CheckResult.VIOLATED
+    assert defense.witness.framework.labels == ("a", "w1", "a_b", "w1_b",
+                                                "ww1_b", "ww2_b")
+
+
 def test_unattacked_equivalence_checker():
     assert check_unattacked_equivalence(
         fixtures.two_on_one()).result is CheckResult.HOLDS
@@ -425,11 +435,16 @@ def _count_signatures(monkeypatch) -> list:
 
 
 def _folded_without_memo(count, seed):
-    """corpus_checks rebuilt from standalone checker calls, which open no
-    memo, folded by its rule: the first verdict of each postulate, unless
-    a later one is its first violation."""
+    """corpus_checks rebuilt from its documented corpus and standalone
+    checker calls, which open no memo, folded by its rule: the first
+    verdict of each postulate, unless a later one is its first
+    violation."""
     found = {}
-    for fw, permutation in postulates._corpus(count, seed):
+    for i in range(count):
+        fw = random_framework(3 + i % 4, 0.25, seed + i)
+        shuffled = list(fw.labels)
+        random.Random((seed + i) * 7919).shuffle(shuffled)
+        permutation = dict(zip(fw.labels, shuffled))
         for verdict in (check_abstraction(fw, permutation),
                         check_independence(fw), check_void_precedence(fw),
                         check_unattacked_equivalence(fw)):
