@@ -218,8 +218,7 @@ def _verdict_json(verdict: PostulateVerdict) -> dict[str, Any]:
 
 def _cmd_postulates(args: argparse.Namespace) -> int:
     matched, battery = named_counterexamples_match()
-    corpus = (corpus_checks(count=args.corpus, seed=args.seed)
-              if args.corpus > 0 else ())
+    corpus = corpus_checks(count=args.corpus, seed=args.seed)
     holds = matched and all(v.result is CheckResult.HOLDS for v in corpus)
 
     def lines() -> Iterator[str]:
@@ -236,7 +235,7 @@ def _cmd_postulates(args: argparse.Namespace) -> int:
         {"battery": [_verdict_json(v) for v in battery],
          "battery_matches_expected": matched,
          "corpus": [_verdict_json(v) for v in corpus]},
-        [_witness_json(v) for v in battery + tuple(corpus)
+        [_witness_json(v) for v in battery + corpus
          if v.witness is not None],
         lines(), 0 if holds else 1)
 

@@ -94,9 +94,6 @@ class ArgumentationFramework:
         return frozenset((s, d) for s, row in enumerate(self._target_indices)
                          for d in row)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]

@@ -1,17 +1,20 @@
 """Propositional formulas with integer truth-table entailment.
 
 Formulas are immutable ASTs over named atoms with negation,
-conjunction, disjunction, and implication. A formula is compiled once
-into an integer truth table over a fixed order of k atoms: bit r is its
-value on row r, the row that gives the i-th atom the value of bit i of
-r. A set of formulas is then consistent when the AND of their tables is
-non-zero, and premises entail a goal when `premises & ~goal == 0`.
-Tables have 2^k bits, so k is capped at 16 distinct atoms. The compiler
-and the atom walk keep explicit stacks instead of recursing, so they
-take formulas of any depth. Hashing, comparing and rendering a formula
-recurse once or twice per level, so the parser refuses formulas deeper
-than ``MAX_DEPTH`` levels, which keeps them far inside the interpreter's
-default recursion limit.
+conjunction, disjunction, and implication. One table, ``_CONNECTIVES``,
+gives each binary connective its class, its precedence and whether it
+groups to the right; the parser, its check for a misplaced connective
+and the renderer all read it. A formula is compiled once into an
+integer truth table over a fixed order of k atoms: bit r is its value
+on row r, the row that gives the i-th atom the value of bit i of r. A
+set of formulas is then consistent when the AND of their tables is
+non-zero, and premises entail a goal when they are inconsistent with
+its negation. Tables have 2^k bits, so k is capped at 16 distinct
+atoms. The compiler and the atom walk keep explicit stacks instead of
+recursing, so they take formulas of any depth. Hashing, comparing and
+rendering a formula recurse once or twice per level, so the parser
+refuses formulas deeper than ``MAX_DEPTH`` levels, which keeps them far
+inside the interpreter's default recursion limit.
 """
 from __future__ import annotations
 
@@ -55,6 +58,12 @@ class Implies:
 
 Formula = Atom | Not | And | Or | Implies
 
+# symbol: (class, precedence, groups right); negation binds tighter, at 4
+_CONNECTIVES: dict[str, tuple[type, int, bool]] = {
+    "->": (Implies, 1, True), "|": (Or, 2, False), "&": (And, 3, False)}
+_SYMBOLS = {make: (symbol, prec, right)
+            for symbol, (make, prec, right) in _CONNECTIVES.items()}
+
 _TOKEN = re.compile(r"\s*(?:(->|[!&|()]|[a-z][a-z0-9_]*)|(\S))")
 
 
@@ -73,11 +82,12 @@ def _tokens(text: str) -> list[tuple[str, int]]:
 
 
 def parse_formula(text: str) -> Formula:
-    """Grammar: implication (right-assoc, lowest) over disjunction over
-    conjunction over negation over atoms and parentheses. Each function
-    returns a subtree with its height, an atom counting as one, so a
-    formula deeper than ``MAX_DEPTH`` is refused before the first node
-    that would pass the bound is built."""
+    """Grammar: binary connectives by precedence climbing over the
+    connective table (implication lowest and right-grouping, then
+    disjunction, then conjunction), over negation over atoms and
+    parentheses. Each function returns a subtree with its height, an
+    atom counting as one, so a formula deeper than ``MAX_DEPTH`` is
+    refused before the first node that would pass the bound is built."""
     tokens = _tokens(text)
     if not tokens:
         raise FormulaParseError("empty formula", 1)
@@ -100,25 +110,14 @@ def parse_formula(text: str) -> Formula:
             raise FormulaParseError("formula is nested too deeply")
         return make(*formulas), height
 
-    def implication() -> tuple[Formula, int]:
-        left = disjunction()
-        if peek() == "->":
-            take()
-            return node(Implies, left, implication())
-        return left
-
-    def disjunction() -> tuple[Formula, int]:
-        left = conjunction()
-        while peek() == "|":
-            take()
-            left = node(Or, left, conjunction())
-        return left
-
-    def conjunction() -> tuple[Formula, int]:
+    def binary(lowest: int) -> tuple[Formula, int]:
+        """Operands joined by connectives of precedence ``lowest`` or
+        more; a right operand takes only tighter connectives, or equal
+        ones too where the connective groups right."""
         left = unary()
-        while peek() == "&":
-            take()
-            left = node(And, left, unary())
+        while peek() in _CONNECTIVES and _CONNECTIVES[peek()][1] >= lowest:
+            make, prec, right = _CONNECTIVES[take()[0]]
+            left = node(make, left, binary(prec if right else prec + 1))
         return left
 
     def unary() -> tuple[Formula, int]:
@@ -131,13 +130,13 @@ def parse_formula(text: str) -> Formula:
             return node(Not, unary())
         if tok == "(":
             take()
-            inner = implication()
+            inner = binary(1)
             nxt, col = take() if peek() is not None else (None, len(text) + 1)
             if nxt != ")":
                 raise FormulaParseError("expected ')'", col)
             return inner
         word, col = take()
-        if word in ("&", "|", "->", ")"):
+        if word in _CONNECTIVES or word == ")":
             raise FormulaParseError(f"unexpected {word!r}", col)
         return Atom(word), 1
 
@@ -145,7 +144,7 @@ def parse_formula(text: str) -> Formula:
         # parentheses add no height but each one recurses, as does each
         # right-nested level before its node is built, so deep input can
         # exhaust the stack before any height passes the bound
-        result, _ = implication()
+        result, _ = binary(1)
     except RecursionError:
         raise FormulaParseError("formula is nested too deeply") from None
     if index < len(tokens):
@@ -155,22 +154,19 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses for the parser's precedence."""
+    """Render with minimal parentheses for the parser's precedence. The
+    side a connective groups towards is rendered at its own precedence
+    and the other side one level tighter, so a same-connective child on
+    that side keeps its parentheses and the tree round-trips."""
 
     def render(g: Formula, parent: int) -> str:
-        # precedence levels: -> 1, | 2, & 3, ! 4, atom 5
         if isinstance(g, Atom):
             return g.name
         if isinstance(g, Not):
             return "!" + render(g.operand, 4)
-        if isinstance(g, And):
-            # & and | parse left-associative, so a same-operator right
-            # child must keep its parentheses to round-trip the tree
-            text, prec = f"{render(g.left, 3)} & {render(g.right, 4)}", 3
-        elif isinstance(g, Or):
-            text, prec = f"{render(g.left, 2)} | {render(g.right, 3)}", 2
-        else:
-            text, prec = f"{render(g.left, 2)} -> {render(g.right, 1)}", 1
+        symbol, prec, right = _SYMBOLS[type(g)]
+        text = (f"{render(g.left, prec + right)} {symbol} "
+                f"{render(g.right, prec + (not right))}")
         return f"({text})" if prec < parent else text
 
     return render(f, 0)
@@ -245,10 +241,7 @@ def is_consistent(formulas: Iterable[Formula]) -> bool:
 
 
 def entails(premises: Iterable[Formula], goal: Formula) -> bool:
-    (*tables, target), rows = truth_tables([*premises, goal])
-    for table in tables:
-        rows &= table
-    return rows & ~target == 0
+    return not is_consistent([*premises, Not(goal)])
 
 
 def strip_double_negation(f: Formula) -> Formula:

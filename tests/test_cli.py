@@ -499,6 +499,20 @@ def test_instantiate_grades_start_at_one(grade, capsys, monkeypatch):
         f"error: argument {grade}: value must be >= 1\n")
 
 
+def test_instantiate_cap_starts_at_one(capsys, monkeypatch):
+    """``--max-args 1`` admits a base with one argument and 0 is a usage
+    error, exit 2."""
+    argv = ["instantiate", "--kb", "-", "--emit", "graph"]
+    assert run_cli([*argv, "--max-args", "1"], "1: a\n") == (
+        0, "A1\n#\n", "A1 = ({a}, a)\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1: a\n"))
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--max-args", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max-args: value must be >= 1\n")
+
+
 @pytest.mark.parametrize("emit", ["graph", "ps", "check", "infer"])
 def test_nesting_bound_answers_or_exits_2_at_every_depth(emit):
     """A negation chain up to MAX_DEPTH levels (the atom is one) gets an

@@ -178,6 +178,18 @@ def test_set_construction_and_membership():
     assert fw.full_set().labels == ("a", "b", "c")
 
 
+def test_set_membership_of_argument_ids():
+    """An argument id is in a set exactly when its own index is, so
+    with every other argument left out, no id reads a neighbour's bit.
+    An object that names no argument is not in the set."""
+    fw = random_framework(5, 0.3, seed=7)
+    x = fw.set_of(["a0", "a2", "a4"])
+    for argument in fw.full_set():
+        assert (argument in x) is (argument.index % 2 == 0)
+    assert 0 not in x
+    assert "a1" not in x
+
+
 def test_set_algebra():
     fw = three_cycle()
     x = fw.set_of(["a", "b"])

@@ -167,15 +167,20 @@ def test_deep_chains_are_refused_before_they_are_built(monkeypatch):
     """The 160,001-operand disjunction is refused once its height passes
     the bound, after at most MAX_DEPTH Or nodes, not the whole chain."""
     built = []
-    monkeypatch.setattr(logic, "Or",
-                        lambda left, right: built.append(1) or Or(left, right))
+    monkeypatch.setitem(
+        logic._CONNECTIVES, "|",
+        (lambda left, right: built.append(1) or Or(left, right),
+         *logic._CONNECTIVES["|"][1:]))
     with pytest.raises(FormulaParseError, match="nested too deeply"):
         parse_formula(" | ".join(["a"] * 160_001))
     assert 0 < len(built) <= MAX_DEPTH
 
 
 def test_parentheses_add_no_depth():
+    """300 levels parse: the parser spends two frames per parenthesis,
+    well inside the recursion limit. 3,000 exhaust it and are refused."""
     assert parse_formula("(" * 100 + "a" + ")" * 100) == a
+    assert parse_formula("(" * 300 + "a" + ")" * 300) == a
     with pytest.raises(FormulaParseError, match="nested too deeply"):
         parse_formula("(" * 3000 + "a" + ")" * 3000)
 

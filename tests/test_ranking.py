@@ -11,7 +11,8 @@ from gradarg.fixtures import (defended_two_on_one, mutual_pair,
                               two_on_one)
 from gradarg.framework import ArgumentationFramework, disjoint_union
 from gradarg.kernel import GradeParams, graded_defense, saturation_bound
-from gradarg.ranking import (Relation, _signatures, absolute_rank,
+from gradarg.ranking import (ArgumentPartialOrder, JustificationSignature,
+                             Relation, _grid, _signatures, absolute_rank,
                              absolute_signature, contextual_equals_grounded,
                              contextual_rank, contextual_signature)
 from gradarg.semantics import (JustificationMode, Semantics,
@@ -240,6 +241,20 @@ def test_absolute_signature_walks_each_column_once(monkeypatch):
 
 
 # -- absolute order --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", range(1, 8))
+def test_existence_safe_cut_keeps_the_kernel_region(bound):
+    """The order's shift arithmetic and the kernel's predicate state the
+    same region: cutting a full signature keeps exactly the bits whose
+    grade point is existence-safe."""
+    kind = "absolute:grounded"
+    full = JustificationSignature("a", (1 << bound ** 3) - 1, bound, kind)
+    order = ArgumentPartialOrder(ArgumentationFramework(("a",), ()),
+                                 {"a": full}, kind)
+    assert order._existence_safe().signatures["a"].bits == sum(
+        1 << i for i, point in enumerate(_grid(bound, 3))
+        if GradeParams(*point).existence_safe)
 
 
 def test_absolute_rank_never_lifts_the_self_attacker_target():
