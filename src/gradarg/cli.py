@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (FormulaParseError, FrameworkParseError, GradargError,
@@ -30,7 +29,7 @@ from .logic import format_formula, parse_formula
 from .postulates import (CheckResult, PostulateVerdict, corpus_checks,
                          named_counterexamples_match)
 from .ranking import (RANKED_SEMANTICS, ArgumentPartialOrder, _grid,
-                      absolute_rank, contextual_rank)
+                      _select, absolute_rank, contextual_rank)
 from .semantics import (Existence, JustificationMode, Semantics,
                         enumerate_extensions)
 
@@ -142,7 +141,7 @@ def _grade_lists(order: ArgumentPartialOrder) -> dict[int, str]:
     texts = [point % p for p in _grid(bound, arity)]
     lists = {}
     for bits in {sig.bits for sig in sigs}:
-        chosen = compress(texts, map("1".__eq__, f"{bits:b}"[::-1]))
+        chosen = _select(texts, bits)
         lists[bits] = "[" + ",".join(chosen) + "\n      ]" if bits else "[]"
     return lists
 

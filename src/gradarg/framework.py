@@ -10,7 +10,9 @@ The attack relation is held in one shape, per-argument rows built by the
 constructor in one pass over the distinct attacks: ``attacker_masks``
 (row i is the bitmask of i's attackers), ``target_masks`` (the bitmask
 of i's targets), ``target_indices`` (i's targets as indices) and
-``in_degrees``. The operators read the rows directly; ``attacks`` and
+``in_degrees``. A framework is a frozen dataclass, and these rows are
+its fields, set once with ``max_in_degree`` and ``full_mask`` beside
+them. The operators read the fields directly; ``attacks`` and
 ``attack_indices`` are derived from the target rows on request.
 """
 from __future__ import annotations
@@ -30,15 +32,33 @@ class ArgumentId:
         return self.label
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class ArgumentationFramework:
     """An immutable directed attack graph.
 
     Labels are unique non-empty strings. Attacks are ordered pairs of
     declared labels; self-attacks are allowed and duplicates collapse.
+    The constructor computes every field once:
+
+    - ``labels``: the arguments' labels, by index;
+    - ``attacker_masks``: row i is the bitmask of the attackers of i;
+    - ``target_masks``: row i is the bitmask of the arguments i attacks;
+    - ``target_indices``: row i holds the indices of the arguments i
+      attacks, in no particular order;
+    - ``in_degrees``: each argument's number of attackers, by index;
+    - ``max_in_degree``: the largest in-degree, 0 without arguments;
+    - ``full_mask``: the bitmask of every argument.
     """
 
-    __slots__ = ("_labels", "_index", "_attacker_masks", "_target_masks",
-                 "_target_indices", "_in_degrees", "_hash")
+    labels: tuple[str, ...]
+    attacker_masks: tuple[int, ...]
+    target_masks: tuple[int, ...]
+    target_indices: tuple[tuple[int, ...], ...]
+    in_degrees: tuple[int, ...]
+    max_in_degree: int
+    full_mask: int
+    _index: dict[str, int]
+    _hash: int
 
     def __init__(self, arguments: Sequence[str],
                  attacks: Iterable[tuple[str, str]] = ()) -> None:
@@ -64,34 +84,34 @@ class ArgumentationFramework:
             attacker_masks[d] |= 1 << s
             target_masks[s] |= 1 << d
             targets[s].append(d)
-        self._labels = labels
-        self._index = index
-        self._attacker_masks = tuple(attacker_masks)
-        self._target_masks = tuple(target_masks)
-        self._target_indices = tuple(map(tuple, targets))
-        self._in_degrees = tuple(map(int.bit_count, attacker_masks))
-        self._hash = hash((labels, self._attacker_masks))
+        rows = tuple(attacker_masks)
+        in_degrees = tuple(map(int.bit_count, rows))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "attacker_masks", rows)
+        object.__setattr__(self, "target_masks", tuple(target_masks))
+        object.__setattr__(self, "target_indices", tuple(map(tuple, targets)))
+        object.__setattr__(self, "in_degrees", in_degrees)
+        object.__setattr__(self, "max_in_degree", max(in_degrees, default=0))
+        object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash((labels, rows)))
 
     # -- basic inspection ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return len(self.labels)
 
     @property
     def attacks(self) -> tuple[tuple[str, str], ...]:
         """Attack pairs as labels, sorted by (source index, target index)."""
-        labels = self._labels
+        labels = self.labels
         return tuple((labels[s], labels[d])
-                     for s, row in enumerate(self._target_indices)
+                     for s, row in enumerate(self.target_indices)
                      for d in sorted(row))
 
     @property
     def attack_indices(self) -> frozenset[tuple[int, int]]:
-        return frozenset((s, d) for s, row in enumerate(self._target_indices)
+        return frozenset((s, d) for s, row in enumerate(self.target_indices)
                          for d in row)
 
     def index_of(self, label: str) -> int:
@@ -100,47 +120,18 @@ class ArgumentationFramework:
         except KeyError:
             raise KeyError(f"unknown argument {label!r}") from None
 
-    @property
-    def attacker_masks(self) -> tuple[int, ...]:
-        """Row i: the bitmask of the attackers of argument i."""
-        return self._attacker_masks
-
-    @property
-    def target_masks(self) -> tuple[int, ...]:
-        """Row i: the bitmask of the arguments that argument i attacks."""
-        return self._target_masks
-
-    @property
-    def target_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Row i: the indices of the arguments that argument i attacks,
-        in no particular order."""
-        return self._target_indices
-
     def attackers_of(self, label: str) -> "ArgumentSet":
-        return ArgumentSet(self, self._attacker_masks[self.index_of(label)])
+        return ArgumentSet(self, self.attacker_masks[self.index_of(label)])
 
     def defenders_of(self, label: str) -> "ArgumentSet":
         """Attackers of the attackers."""
-        rows = self._attacker_masks
+        rows = self.attacker_masks
         return ArgumentSet(self, _image(rows, rows[self.index_of(label)]))
 
-    @property
-    def in_degrees(self) -> tuple[int, ...]:
-        """Each argument's number of attackers, by index."""
-        return self._in_degrees
-
     def in_degree(self, label: str) -> int:
-        return self._in_degrees[self.index_of(label)]
-
-    @property
-    def max_in_degree(self) -> int:
-        return max(self._in_degrees, default=0)
+        return self.in_degrees[self.index_of(label)]
 
     # -- set construction ------------------------------------------------
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self._labels)) - 1
 
     def empty_set(self) -> "ArgumentSet":
         return ArgumentSet(self, 0)
@@ -161,15 +152,15 @@ class ArgumentationFramework:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ArgumentationFramework)
-                and self._labels == other._labels
-                and self._attacker_masks == other._attacker_masks)
+                and self.labels == other.labels
+                and self.attacker_masks == other.attacker_masks)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return (f"ArgumentationFramework({len(self._labels)} arguments, "
-                f"{sum(self._in_degrees)} attacks)")
+        return (f"ArgumentationFramework({len(self.labels)} arguments, "
+                f"{sum(self.in_degrees)} attacks)")
 
 
 @dataclass(frozen=True)

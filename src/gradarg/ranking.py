@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 from operator import and_
-from typing import Iterator
+from typing import Any, Iterable, Iterator
 
 from .framework import ArgumentationFramework, ArgumentSet, _mask
 from .kernel import (defense_mask, defense_orbit, least_fixpoints,
@@ -48,6 +48,12 @@ def _grid(bound: int, arity: int) -> Iterator[tuple[int, ...]]:
     return product(range(1, bound + 1), repeat=arity)
 
 
+def _select(items: Iterable[Any], bits: int) -> Iterator[Any]:
+    """The items whose bit is set, in bit order: item i is kept when bit
+    i of ``bits`` is set."""
+    return compress(items, map("1".__eq__, f"{bits:b}"[::-1]))
+
+
 @dataclass(frozen=True)
 class JustificationSignature:
     """The grade points at which one argument is justified, as bits over
@@ -62,7 +68,7 @@ class JustificationSignature:
     def grades(self) -> frozenset[tuple[int, ...]]:
         """The grade points themselves, decoded from the bits."""
         grid = _grid(self.bound, 2 if self.kind == "contextual" else 3)
-        return frozenset(p for i, p in enumerate(grid) if self.bits >> i & 1)
+        return frozenset(_select(grid, self.bits))
 
 
 class ArgumentPartialOrder:

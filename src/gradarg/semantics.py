@@ -324,10 +324,20 @@ def _conflict_free_closure(fw: ArgumentationFramework, params: GradeParams,
 def grounded_by_construction(fw: ArgumentationFramework,
                              params: GradeParams) -> ExtensionFamily:
     """The least complete extension, built by iterating defense from
-    the empty set; only defined on the existence-safe region."""
+    the empty set; only defined on the existence-safe region.
+
+    The least fixpoint is always l-conflict-free there, so no check is
+    needed. Take n >= m and an m-conflict-free X, and suppose some a in
+    d_mn(X) had m attackers in d_mn(X). At most m-1 of a's attackers
+    escape n counter-attacks from X, so one of them, b in d_mn(X), has
+    at least n >= m attackers in X. By the same count one of those, c
+    in X, has at least n >= m attackers in X, which contradicts X being
+    m-conflict-free. So d_mn keeps m-conflict-freeness, and iterating
+    it from the empty set gives an m-conflict-free least fixpoint. Its
+    least tolerance is at most m, which is at most l on the
+    existence-safe region that ``_closure`` enforces.
+    """
     least = _closure(fw, params, fw.empty_set()).limit.mask
-    if least_tolerance(fw, least) > params.l:
-        return _no_grounded(fw, params, least)
     return _family(fw, Semantics.GROUNDED, params, (least,))
 
 

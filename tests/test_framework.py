@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -90,10 +92,12 @@ def _raw_attack_lists(count: int, seed: int):
 
 def test_attack_rows_match_the_pairs_they_come_from():
     """Every view of the attack relation, held to the distinct pairs of
-    the raw attack list: the three row tuples, in-degrees, both pair
-    views (``attacks`` in (source, target) index order), equality and
-    hash, defenders, components, reachability along either row tuple,
-    and the reach test of ``preferred_by_reachability``."""
+    the raw attack list: the three row tuples, in-degrees, the stored
+    full mask and largest in-degree, both pair views (``attacks`` in
+    (source, target) index order), equality and hash, copies and pickles
+    that keep both, fields that refuse assignment, defenders,
+    components, reachability along either row tuple, and the reach test
+    of ``preferred_by_reachability``."""
     seen = {"self": 0, "duplicate": 0, "sizes": set()}
     rng = random.Random(5)
     for labels, raw in _raw_attack_lists(200, 2026):
@@ -112,6 +116,8 @@ def test_attack_rows_match_the_pairs_they_come_from():
             [d for s, d in pairs if s == i] for i in indices)
         assert fw.in_degrees == tuple(
             sum(d == i for s, d in pairs) for i in indices)
+        assert fw.full_mask == (1 << size) - 1
+        assert fw.max_in_degree == max(fw.in_degrees, default=0)
         assert fw.attacks == tuple((labels[s], labels[d]) for s, d in pairs)
         assert fw.attack_indices == frozenset(pairs)
 
@@ -125,6 +131,13 @@ def test_attack_rows_match_the_pairs_they_come_from():
         permuted = labels[::-1]
         other = ArgumentationFramework(permuted, raw)
         assert (fw == other) == (labels == permuted)
+        for twin in (copy.copy(fw), copy.deepcopy(fw),
+                     pickle.loads(pickle.dumps(fw))):
+            assert twin == fw and hash(twin) == hash(fw)
+        for name in ("labels", "attacker_masks", "full_mask", "_index",
+                     "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(fw, name, getattr(fw, name))
 
         for i, lab in enumerate(labels):
             attackers = {s for s, d in pairs if d == i}

@@ -13,9 +13,9 @@ from gradarg.framework import ArgumentationFramework, random_framework
 from gradarg.kernel import (DefenseGrade, GradeOrdering, GradeParams,
                             IterationStream, compare_grades, defense_mask,
                             defense_orbit, gfp_from, graded_defense,
-                            graded_neutrality, least_fixpoints, lfp_from,
-                            neutrality_mask, saturation_bound,
-                            unattacked_closure)
+                            graded_neutrality, least_fixpoints,
+                            least_tolerance, lfp_from, neutrality_mask,
+                            saturation_bound, unattacked_closure)
 from gradarg.semantics import is_lmn_admissible
 
 grades = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
@@ -249,9 +249,10 @@ def test_fixpoint_columns_match_the_orbit(density):
     single-point ranges, the greatest fixpoint as the m-neutral set of
     the least fixpoint at the swapped grade (n, m), and the least
     fixpoints containing a random start from the first m at which it
-    defends itself. Up to six arguments the least fixpoints are also
-    held to the oracle's own iteration, and the greatest to the union of
-    every set inside its own defense (Knaster-Tarski)."""
+    defends itself. Where n >= m the least fixpoint is m-conflict-free.
+    Up to six arguments the least fixpoints are also held to the
+    oracle's own iteration, and the greatest to the union of every set
+    inside its own defense (Knaster-Tarski)."""
     import random
     rng = random.Random(9100)
     corpus = [random_framework(size, density, 9000 + 100 * copy + size)
@@ -271,9 +272,13 @@ def test_fixpoint_columns_match_the_orbit(density):
                 assert lfps[m - 1] == least
                 swapped = columns[m - 1][n - 1]
                 assert neutrality_mask(fw, m, swapped) == greatest
+                if n >= m:
+                    assert least_tolerance(fw, least) <= m
                 if small:
-                    assert set(fw.set_from_mask(least).labels) == set(
-                        oc.naive_lfp(labels, attacks, m, n))
+                    naive = oc.naive_lfp(labels, attacks, m, n)
+                    assert set(fw.set_from_mask(least).labels) == set(naive)
+                    if n >= m:
+                        assert oc.l_conflict_free(labels, attacks, m, naive)
                     post = set().union(*(
                         xs for xs in oc.powerset(labels)
                         if xs <= oc.graded_defense(labels, attacks, m, n, xs)))
